@@ -11,12 +11,13 @@ Three measurements per dataset size:
   a loop of scalar pooled inserts (the paper's Section III-D amortised path,
   one Python round-trip per interval).  The speedup column is the headline
   number of the write-path overhaul;
-* **refresh** — replay a delta log of ``--ops`` balanced writes on an
-  n-interval single-shard engine and check, via the tree's snapshot
-  counters, that the re-snapshot ran through the *incremental* dirty-node
-  patch path rather than a full ``FlatAIT.from_tree`` re-flatten (the script
-  errors if a full rebuild was triggered while the log is small relative to
-  the tree).  The full-rebuild time is measured next to it for scale;
+* **refresh** — apply ``--ops`` balanced writes (bulk insert + bulk delete)
+  to an n-interval core ``AIT`` and re-snapshot it, checking via the tree's
+  snapshot counters that ``AIT.flat()`` ran through the *incremental*
+  dirty-node splice rather than a full ``FlatAIT.from_tree`` re-flatten (the
+  script errors if a full rebuild was triggered while the delta is small
+  relative to the tree).  The full-rebuild time is measured next to it for
+  scale.  Engine shards do not use this path: they rebuild treelessly;
 * **mixed** — the ``update_throughput`` experiment's mixed read/write rounds
   (write ratio x shard count), reusing the same measurement helper.
 
@@ -95,11 +96,10 @@ def bench_bulk_insert(n: int, repeats: int) -> dict:
 
 
 def bench_refresh(n: int, ops: int) -> dict:
-    """Replay an ops-long delta log on an n-interval shard; verify no full rebuild."""
+    """Apply an ops-long delta to an n-interval core AIT; verify no full rebuild."""
     dataset = generate_paper_dataset("btc", n=n, random_state=1)
-    engine = ShardedEngine(dataset, num_shards=1)
-    engine.refresh()
-    tree = engine.shards[0].tree
+    tree = AIT(dataset)
+    tree.flat()
     full_before = tree.snapshot_full_builds
     incremental_before = tree.snapshot_incremental_refreshes
 
@@ -108,26 +108,26 @@ def bench_refresh(n: int, ops: int) -> dict:
     lo, hi = dataset.domain()
     lefts = rng.uniform(lo, hi, half)
     rights = lefts + rng.exponential((hi - lo) * 0.02, half)
-    engine.insert_many(lefts, rights)
-    engine.delete_many(rng.choice(n, size=half, replace=False))
     start = time.perf_counter()
-    engine.refresh()
+    tree.insert_many(lefts, rights)
+    tree.delete_many(rng.choice(n, size=half, replace=False))
+    tree.flush_pool()
+    tree.flat()
     refresh_seconds = time.perf_counter() - start
 
     full_delta = tree.snapshot_full_builds - full_before
     incremental_delta = tree.snapshot_incremental_refreshes - incremental_before
-    # A delta log this small relative to the shard must NOT trigger a full
+    # A delta this small relative to the tree must NOT trigger a full
     # re-flatten — the rebuild counter is the acceptance check.
     if n >= 20 * ops and full_delta != 0:
         raise AssertionError(
-            f"refresh of a {ops}-op delta log on a {n}-interval shard triggered "
+            f"refresh of a {ops}-op delta on a {n}-interval tree triggered "
             f"{full_delta} full FlatAIT rebuild(s); expected the incremental path"
         )
 
     start = time.perf_counter()
     FlatAIT.from_tree(tree)
     full_rebuild_seconds = time.perf_counter() - start
-    engine.close()
     print(
         f"n={n:>7} refresh       {ops} ops replayed in {refresh_seconds * 1e3:9.1f} ms   "
         f"(full re-flatten alone: {full_rebuild_seconds * 1e3:.1f} ms, "

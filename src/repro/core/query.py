@@ -9,14 +9,21 @@ arguments in one place so all indexes behave identically on malformed input.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+import operator
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidQueryError
 from .interval import Interval
 
-__all__ = ["QueryLike", "coerce_query", "coerce_query_batch", "validate_sample_size"]
+__all__ = [
+    "QueryLike",
+    "coerce_query",
+    "coerce_query_batch",
+    "integral_value",
+    "validate_sample_size",
+]
 
 #: Anything accepted as a query interval by the public API.
 QueryLike = Union[Interval, Sequence[float], tuple[float, float]]
@@ -78,16 +85,28 @@ def coerce_query_batch(queries) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
+def integral_value(value) -> Optional[int]:
+    """``value`` as an ``int`` when it is an integral number, else None.
+
+    Accepts Python/NumPy integers and floats with an integral value (``2.0``);
+    rejects bools, non-integral or non-finite floats, strings and every other
+    type — so ``1.9`` or ``True`` can never stand in for ``1``.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (float, np.floating)):
+        return int(value) if float(value).is_integer() else None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def validate_sample_size(sample_size: int) -> int:
     """Validate and return the requested number of samples ``s`` (must be >= 0)."""
-    if isinstance(sample_size, bool) or not isinstance(sample_size, (int,)):
-        try:
-            as_int = int(sample_size)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError(f"sample size must be an integer, got {sample_size!r}") from exc
-        if as_int != sample_size:
-            raise InvalidQueryError(f"sample size must be an integer, got {sample_size!r}")
-        sample_size = as_int
-    if sample_size < 0:
-        raise InvalidQueryError(f"sample size must be non-negative, got {sample_size}")
-    return int(sample_size)
+    as_int = integral_value(sample_size)
+    if as_int is None:
+        raise InvalidQueryError(f"sample size must be an integer, got {sample_size!r}")
+    if as_int < 0:
+        raise InvalidQueryError(f"sample size must be non-negative, got {as_int}")
+    return as_int

@@ -6,8 +6,8 @@ insertion, deletion), this one tracks the reproduction's engineering write
 path end-to-end.  Each measured round pushes a block of writes through the
 :class:`~repro.service.ShardedEngine` bulk APIs (``insert_many`` /
 ``delete_many`` — balanced, so the dataset size stays steady) and then
-answers one read batch, which forces the delta-log replay plus the
-incremental snapshot refresh at the batch boundary.  Sweeping the write
+answers one read batch, which forces each touched shard to fold its delta
+log into its live columns and rebuild its snapshot at the batch boundary.  Sweeping the write
 ratio and the shard count shows what sustained churn costs the serving
 layer: how quickly read throughput degrades as writes are mixed in, and how
 update isolation (only the owning shards re-snapshot) pays off with K.
@@ -83,10 +83,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         notes=(
             "Each round applies write_ratio * query_count balanced bulk writes "
             "(insert_many + delete_many) and then one count_many batch, which "
-            "pays the delta-log replay and the incremental snapshot refresh. "
-            "Expect reads/sec to fall as the write ratio grows; the write-path "
-            "overhaul keeps the fall graceful (bulk replay, dirty-node patching) "
-            "instead of cliff-shaped (full per-batch re-flattens)."
+            "pays each touched shard's treeless snapshot rebuild from its live "
+            "columns. Expect reads/sec to fall as the write ratio grows; only "
+            "the shards that took writes rebuild, so more shards soften the fall."
         ),
     )
     for dataset_name in config.datasets:

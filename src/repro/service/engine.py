@@ -52,7 +52,7 @@ from ..core.dataset import IntervalDataset
 from ..core.errors import EmptyResultError, InvalidIntervalError, StructureStateError
 from ..core.flat import FlatAIT
 from ..core.interval import Interval, validate_endpoints
-from ..core.query import QueryLike, validate_sample_size
+from ..core.query import QueryLike, integral_value, validate_sample_size
 from ..kernels import resolve_backend
 from ..sampling.rng import RandomState, resolve_rng, spawn_seeds
 from .executor import resolve_executor
@@ -97,18 +97,8 @@ class ShardedEngine:
         the process default).  Only valid together with
         ``executor="process"``; pre-built executor objects configure scatter
         at construction instead.
-    batch_pool_size:
-        Forwarded to each shard's tree (capacity of the paper's pooled
-        insertion buffer).
-    build_backend:
-        Forwarded to every shard's tree.  ``"columnar"`` (default) builds
-        each shard's snapshot treelessly via
-        :meth:`~repro.core.flat.FlatAIT.from_arrays` — engine construction
-        and full snapshot rebuilds never allocate Python tree nodes; a
-        shard only materialises its node graph when a write batch is
-        replayed into it.  ``"tree"`` keeps the legacy eager node build.
     kernel_backend:
-        Forwarded to every shard's tree: which kernel implementation the
+        Forwarded to every shard's snapshot: which kernel implementation the
         shard snapshots run their hot loops on (``"numpy"`` default,
         ``"numba"``, ``"python"``; see :mod:`repro.kernels`).  Process
         executor workers inherit the choice through the shared-memory
@@ -144,8 +134,6 @@ class ShardedEngine:
         policy: str = "round_robin",
         weighted: Optional[bool] = None,
         executor=None,
-        batch_pool_size: Optional[int] = None,
-        build_backend: str = "columnar",
         parallel_refresh: bool = False,
         kernel_backend=None,
         scatter: Optional[str] = None,
@@ -153,7 +141,6 @@ class ShardedEngine:
         self._weighted = dataset.is_weighted if weighted is None else bool(weighted)
         parts = dataset.partition_indices(num_shards, policy)
         self._policy = policy
-        self._build_backend = build_backend
         # Resolved once so a bad name fails here and every shard shares one
         # backend instance (kernels are stateless — see repro.kernels).
         self._kernel_backend = resolve_backend(kernel_backend)
@@ -166,13 +153,13 @@ class ShardedEngine:
 
         def build_shard(item: tuple[int, np.ndarray]) -> Shard:
             index, ids = item
+            weights = dataset.weights[ids] if self._weighted else None
             return Shard(
                 index,
-                dataset,
+                dataset.lefts[ids],
+                dataset.rights[ids],
+                weights,
                 ids,
-                self._weighted,
-                batch_pool_size,
-                build_backend,
                 kernel_backend=self._kernel_backend,
             )
 
@@ -231,11 +218,6 @@ class ShardedEngine:
     def policy(self) -> str:
         """The partitioning policy this engine was built with."""
         return self._policy
-
-    @property
-    def build_backend(self) -> str:
-        """The shard-tree build backend this engine was built with."""
-        return self._build_backend
 
     @property
     def kernel_backend(self) -> str:
@@ -316,7 +298,7 @@ class ShardedEngine:
         self._owner_count = need
 
     def nbytes(self) -> int:
-        """Approximate memory footprint across all shards (trees + snapshots)."""
+        """Approximate memory footprint across all shards (columns + snapshots)."""
         return sum(shard.nbytes() for shard in self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -432,7 +414,6 @@ class ShardedEngine:
         fsync: str = "batch",
         executor=None,
         parallel_refresh: bool = False,
-        batch_pool_size: Optional[int] = None,
         kernel_backend=None,
     ) -> "ShardedEngine":
         """Restore an engine from its newest valid snapshot epoch + WAL chain.
@@ -454,7 +435,6 @@ class ShardedEngine:
             fsync=fsync,
             executor=executor,
             parallel_refresh=parallel_refresh,
-            batch_pool_size=batch_pool_size,
             kernel_backend=kernel_backend,
         )
 
@@ -527,8 +507,7 @@ class ShardedEngine:
         vectorised: range engines bucket the batch by midpoint with one
         ``searchsorted``, round-robin engines deal the batch out cyclically,
         and each owning shard receives a single bulk delta-log entry that
-        :meth:`Shard.refresh` later replays through the tree's
-        ``insert_many``.
+        :meth:`Shard.refresh` later appends to its live columns.
 
         Examples
         --------
@@ -593,8 +572,9 @@ class ShardedEngine:
     def delete_many(self, global_ids) -> np.ndarray:
         """Buffer a whole deletion batch; return per-id success flags.
 
-        Unknown ids, already-deleted ids and duplicates within the batch
-        report False (after the first occurrence); accepted ids are grouped
+        Unknown ids, already-deleted ids, duplicates within the batch (after
+        the first occurrence) and anything that is not an integral number
+        (``1.9``, ``True``, ``"3"``) report False; accepted ids are grouped
         by owning shard and buffered as one bulk delta-log entry each.
 
         Examples
@@ -619,11 +599,8 @@ class ShardedEngine:
         results = np.zeros(len(requested), dtype=bool)
         accepted: list[int] = []
         for position, raw in enumerate(requested):
-            try:
-                g = int(raw)
-            except (TypeError, ValueError):
-                continue
-            if g < 0 or g >= self._owner_count or g in self._deleted:
+            g = integral_value(raw)
+            if g is None or g < 0 or g >= self._owner_count or g in self._deleted:
                 continue
             if self._owner[g] < 0:
                 continue  # recovery id gap (torn WAL tail): id never existed here

@@ -79,6 +79,7 @@ from ..core.errors import (
     InvalidIntervalError,
     InvalidQueryError,
 )
+from ..core.query import integral_value, validate_sample_size
 from .admission import AdmissionController, CircuitBreaker, Deadline, RetryPolicy, is_worker_failure
 from .gateway import READ_OPS, RequestGateway
 
@@ -531,12 +532,15 @@ class HttpFrontend:
             if op in ("count", "total_weight", "report"):
                 args, kwargs = (tuple(body["query"]),), {}
             elif op == "sample":
-                args = (tuple(body["query"]), int(body["sample_size"]))
+                args = (tuple(body["query"]), validate_sample_size(body["sample_size"]))
                 kwargs = {"on_empty": body.get("on_empty", "empty")}
             elif op == "insert":
                 args, kwargs = (tuple(body["interval"]),), {}
             elif op == "delete":
-                args, kwargs = (int(body["id"]),), {}
+                interval_id = integral_value(body["id"])
+                if interval_id is None:
+                    raise _BadRequest(f"delete id must be an integer, got {body['id']!r}")
+                args, kwargs = (interval_id,), {}
             else:  # checkpoint
                 args = (body["directory"],) if body.get("directory") is not None else ()
                 kwargs = {

@@ -3,29 +3,23 @@
 A shard owns a disjoint subset of the engine's intervals.  Internally it
 keeps three layers of state:
 
-* a **local tree** — an :class:`~repro.core.ait.AIT` (or
-  :class:`~repro.core.awit.AWIT` for weighted engines) built over the shard's
-  intervals, addressed by *local* ids ``0..m-1`` (vacated local ids are
-  recycled by the tree's columnar storage, so the map is positional, not
-  append-only);
-* an **id map** between local and engine-global ids (``global_ids[local]``
-  and its inverse), so query results can be reported in the engine's id
-  space;
+* the **live columns** — ``lefts``, ``rights`` and (weighted engines only)
+  ``weights`` of exactly the shard's active intervals, addressed by *local*
+  ids ``0..m-1`` (a local id is a row position);
+* an **id map** ``global_ids[local]`` from local to engine-global ids, so
+  query results can be reported in the engine's id space;
 * a **delta log** of buffered writes plus a **versioned snapshot** — the
-  :class:`~repro.core.flat.FlatAIT` the batch queries execute on.
+  :class:`~repro.core.flat.FlatAIT` the batch queries execute on, always a
+  fresh :meth:`FlatAIT.from_arrays` build over the live columns.
 
 Writes never touch the snapshot directly: the engine appends them to the
-delta log (:meth:`Shard.buffer_insert` / :meth:`Shard.buffer_delete`, or the
-bulk :meth:`Shard.buffer_insert_many` / :meth:`Shard.buffer_delete_many`) and
-the log is replayed into the local tree by :meth:`Shard.refresh` — which the
-engine calls at *batch boundaries only*, so a snapshot is never replaced
-mid-batch.  Replay groups consecutive operations of the same kind and applies
-each run through the tree's vectorised ``insert_many`` / ``delete_many``
-bulk APIs, so a long delta log costs one deferred re-sort per touched list
-instead of one Python round-trip per op; the re-snapshot that follows is
-*incremental* whenever the tree's dirty-node journal allows it (see
-``AIT.flat``), and bumps :attr:`Shard.version` exactly when the visible
-state changed.
+delta log (:meth:`Shard.buffer_insert_many` / :meth:`Shard.buffer_delete_many`)
+and :meth:`Shard.refresh` — which the engine calls at *batch boundaries only*, so
+a snapshot is never replaced mid-batch — folds the whole log into the
+columns and rebuilds the snapshot treelessly.  No replay order is needed:
+inserted global ids are always fresh and the engine only buffers deletes of
+live ids, so appending every insert and then dropping every deleted id
+yields the same live set as replaying the log op by op.
 """
 
 from __future__ import annotations
@@ -34,16 +28,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.ait import AIT
-from ..core.awit import AWIT
-from ..core.dataset import IntervalDataset
 from ..core.flat import FlatAIT
 
 __all__ = ["Shard", "DeltaOp"]
 
 #: One buffered write batch: ``("insert_many", global_ids, lefts, rights)``
-#: or ``("delete_many", global_ids)`` carrying whole arrays (scalar writes
-#: buffer as one-element batches).
+#: or ``("delete_many", global_ids)`` carrying whole arrays (scalar engine
+#: writes buffer as one-element batches).
 DeltaOp = Union[
     tuple[str, np.ndarray, np.ndarray, np.ndarray],
     tuple[str, np.ndarray],
@@ -51,98 +42,69 @@ DeltaOp = Union[
 
 
 class Shard:
-    """A partition of the engine's dataset with its own tree, snapshot and delta log."""
+    """A partition of the engine's dataset: live columns, id map, snapshot and delta log."""
 
     __slots__ = (
         "shard_id",
-        "tree",
         "wal",
+        "_lefts",
+        "_rights",
+        "_weights",
         "_global_ids",
-        "_id_count",
-        "_local_of",
-        "_global_map",
+        "_kernels",
         "_pending",
         "_snapshot",
-        "_snapshot_tree_version",
         "_version",
     )
 
     def __init__(
         self,
         shard_id: int,
-        dataset: IntervalDataset,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        weights: Optional[np.ndarray],
         global_ids: np.ndarray,
-        weighted: bool,
-        batch_pool_size: Optional[int] = None,
-        build_backend: str = "columnar",
+        snapshot: Optional[FlatAIT] = None,
+        version: int = 1,
         kernel_backend=None,
     ) -> None:
+        """Hold the live columns (row ``i`` is local id ``i``) and their id map.
+
+        ``snapshot`` is a :class:`FlatAIT` already built over exactly these
+        columns — e.g. the mmap-backed one :func:`repro.persist.durable.open_engine`
+        loads — or None to build it here with :meth:`FlatAIT.from_arrays`.
+        The delta log starts empty.
+        """
         self.shard_id = int(shard_id)
-        # Local->global id map as a bare int64 array with amortised growth;
-        # the inverse dict is only needed on deletes and is built lazily.
-        self._global_ids = np.asarray(global_ids, dtype=np.int64).copy()
-        self._id_count = int(self._global_ids.shape[0])
-        self._local_of: Optional[dict[int, int]] = None
-        local_dataset = dataset.subset(global_ids)
-        # With the default "columnar" backend the local tree defers its
-        # Python node graph entirely: the snapshot below is built treelessly
-        # by FlatAIT.from_arrays, and the nodes only materialise if a write
-        # batch ever needs to be replayed into this shard.
-        if weighted:
-            self.tree: AIT = AWIT(
-                local_dataset,
-                batch_pool_size=batch_pool_size,
-                build_backend=build_backend,
-                kernel_backend=kernel_backend,
-            )
-        else:
-            self.tree = AIT(
-                local_dataset,
-                batch_pool_size=batch_pool_size,
-                build_backend=build_backend,
-                kernel_backend=kernel_backend,
-            )
-        self._pending: list[DeltaOp] = []
         #: Optional write-ahead log (:class:`repro.persist.DeltaLog`); when
         #: set, every buffered batch is journaled durably *before* joining
         #: the in-memory delta log.
         self.wal = None
-        self._snapshot: Optional[FlatAIT] = None
-        self._snapshot_tree_version = -1
-        self._version = 0
-        self.refresh()
+        self._kernels = kernel_backend
+        self._pending: list[DeltaOp] = []
+        self._version = int(version)
+        self._install(lefts, rights, weights, np.asarray(global_ids, dtype=np.int64), snapshot)
 
-    @classmethod
-    def restore(
-        cls,
-        shard_id: int,
-        tree: AIT,
-        snapshot: FlatAIT,
+    def _install(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        weights: Optional[np.ndarray],
         global_ids: np.ndarray,
-        version: int = 1,
-    ) -> "Shard":
-        """Reassemble a shard from persisted state without rebuilding anything.
-
-        Used by :func:`repro.persist.durable.open_engine`: ``tree`` is the
-        restored local tree (node graph deferred), ``snapshot`` the loaded —
-        typically mmap-backed — :class:`FlatAIT` it serves queries from, and
-        ``global_ids`` the saved local->global id map.  The delta log starts
-        empty; recovered WAL records are re-buffered afterwards and fold in
-        through the normal :meth:`refresh`.
-        """
-        shard = cls.__new__(cls)
-        shard.shard_id = int(shard_id)
-        shard.tree = tree
-        shard.wal = None
-        shard._global_ids = np.asarray(global_ids, dtype=np.int64).copy()
-        shard._id_count = int(shard._global_ids.shape[0])
-        shard._local_of = None
-        shard._pending = []
-        shard._snapshot = snapshot
-        shard._snapshot_tree_version = tree.structure_version
-        shard._global_map = shard._global_ids[: shard._id_count]
-        shard._version = int(version)
-        return shard
+        snapshot: Optional[FlatAIT] = None,
+    ) -> None:
+        """Adopt new live columns and their snapshot (built here when None)."""
+        if snapshot is None:
+            # Built before any field changes: a failing build leaves the
+            # shard exactly as it was.
+            snapshot = FlatAIT.from_arrays(
+                lefts, rights, weights=weights, kernel_backend=self._kernels
+            )
+        self._lefts = lefts
+        self._rights = rights
+        self._weights = weights
+        self._global_ids = global_ids
+        self._snapshot = snapshot
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -150,7 +112,7 @@ class Shard:
     @property
     def size(self) -> int:
         """Number of intervals currently active in this shard (snapshot view)."""
-        return self.tree.size
+        return int(self._global_ids.shape[0])
 
     @property
     def version(self) -> int:
@@ -165,83 +127,32 @@ class Shard:
     @property
     def snapshot(self) -> FlatAIT:
         """The flat engine the current batch executes on (apply deltas via :meth:`refresh`)."""
-        assert self._snapshot is not None  # established by __init__
         return self._snapshot
 
     @property
     def global_map(self) -> np.ndarray:
         """Local→global id map aligned with the current snapshot.
 
-        Frozen at the last :meth:`refresh` alongside the snapshot — buffered
-        writes do not move it — so it is safe to publish to executor workers
-        together with the snapshot arrays (:mod:`repro.service.shm`).
+        Replaced only by :meth:`refresh`, together with the snapshot —
+        buffered writes do not move it — so it is safe to publish to
+        executor workers alongside the snapshot arrays
+        (:mod:`repro.service.shm`).
         """
-        return self._global_map
+        return self._global_ids
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The live ``(lefts, rights, weights)`` columns, row ``i`` = local id ``i``."""
+        return self._lefts, self._rights, self._weights
 
     def nbytes(self) -> int:
-        """Approximate memory footprint: tree structure plus flat snapshot.
-
-        Measures what the shard currently holds — a treeless (columnar
-        backend) shard that never replayed a write reports only columns plus
-        snapshot, without forcing node materialisation.
-        """
-        return int(self.tree.memory_bytes(materialise=False)) + int(self.snapshot.nbytes())
-
-    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        """Map an array of shard-local interval ids to engine-global ids."""
-        if local_ids.shape[0] == 0:
-            return local_ids
-        return self._global_map[local_ids]
-
-    def _record_global_ids(self, global_ids: np.ndarray, local_ids: np.ndarray) -> None:
-        """Record freshly applied inserts in the id maps.
-
-        Local ids are *positions*, not an append-only sequence — the tree
-        recycles vacated slots — so each mapping lands at its local id,
-        overwriting whatever dead mapping held the slot before.
-        """
-        if local_ids.shape[0] == 0:
-            return
-        top = int(local_ids.max()) + 1
-        if top > self._global_ids.shape[0]:
-            grow = max(16, top - self._global_ids.shape[0], self._global_ids.shape[0] // 2)
-            self._global_ids = np.concatenate(
-                (self._global_ids, np.empty(grow, dtype=np.int64))
-            )
-        if self._local_of is not None:
-            recycled = local_ids[local_ids < self._id_count]
-            for local in recycled.tolist():
-                self._local_of.pop(int(self._global_ids[local]), None)
-        self._global_ids[local_ids] = global_ids
-        self._id_count = max(self._id_count, top)
-        if self._local_of is not None:
-            for global_id, local in zip(global_ids.tolist(), local_ids.tolist()):
-                self._local_of[int(global_id)] = int(local)
-
-    def _local_ids_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Shard-local ids owning ``global_ids`` (builds the inverse map on demand)."""
-        if self._local_of is None:
-            self._local_of = {
-                int(g): i for i, g in enumerate(self._global_ids[: self._id_count])
-            }
-        lookup = self._local_of
-        return np.asarray([lookup[int(g)] for g in global_ids], dtype=np.int64)
+        """Approximate memory footprint: live columns, id map and flat snapshot."""
+        arrays = (self._lefts, self._rights, self._weights, self._global_ids)
+        return sum(int(a.nbytes) for a in arrays if a is not None) + int(self._snapshot.nbytes())
 
     # ------------------------------------------------------------------ #
     # delta log
     # ------------------------------------------------------------------ #
-    def buffer_insert(self, global_id: int, left: float, right: float) -> None:
-        """Append one insertion to the delta log (a one-element bulk entry)."""
-        self.buffer_insert_many(
-            np.asarray([global_id], dtype=np.int64),
-            np.asarray([left], dtype=np.float64),
-            np.asarray([right], dtype=np.float64),
-        )
-
-    def buffer_delete(self, global_id: int) -> None:
-        """Append one deletion to the delta log (a one-element bulk entry)."""
-        self.buffer_delete_many(np.asarray([global_id], dtype=np.int64))
-
     def buffer_insert_many(
         self, global_ids: np.ndarray, lefts: np.ndarray, rights: np.ndarray
     ) -> None:
@@ -267,71 +178,34 @@ class Shard:
                 self.wal.append_delete(gids)
             self._pending.append(("delete_many", gids))
 
-    def _replay_insert_run(
-        self, global_ids: list[np.ndarray], lefts: list[np.ndarray], rights: list[np.ndarray]
-    ) -> None:
-        gids = np.concatenate(global_ids)
-        local_ids = self.tree.insert_many(np.concatenate(lefts), np.concatenate(rights))
-        self._record_global_ids(gids, local_ids)
-
-    def _replay_delete_run(self, global_ids: list[np.ndarray]) -> None:
-        self.tree.delete_many(self._local_ids_of(np.concatenate(global_ids)))
-
     def refresh(self) -> bool:
-        """Replay the delta log into the tree and re-snapshot if anything changed.
+        """Fold the delta log into the live columns and rebuild the snapshot.
 
         Returns True when a new snapshot version was produced.  The engine
         calls this at the start of every batch — never while a batch is
         executing — so within one scatter-gather round every shard serves one
-        consistent snapshot.  Consecutive operations of the same kind are
-        replayed through the tree's bulk ``insert_many`` / ``delete_many``
-        APIs (one deferred re-sort per touched list per run), and the
-        re-snapshot uses the incremental dirty-node refresh path whenever
-        the tree's journal allows it.
+        consistent snapshot.  Every buffered insert is appended, every
+        buffered delete drops its row, and the snapshot is rebuilt with
+        :meth:`FlatAIT.from_arrays`.  The delta log is cleared only once the
+        new snapshot exists, so a failed refresh can be retried.
         """
-        run_kind: Optional[str] = None
-        run_gids: list[np.ndarray] = []
-        run_lefts: list[np.ndarray] = []
-        run_rights: list[np.ndarray] = []
-
-        def flush_run() -> None:
-            nonlocal run_kind
-            if run_kind == "insert":
-                self._replay_insert_run(run_gids, run_lefts, run_rights)
-            elif run_kind == "delete":
-                self._replay_delete_run(run_gids)
-            run_kind = None
-            run_gids.clear()
-            run_lefts.clear()
-            run_rights.clear()
-
-        for op in self._pending:
-            kind = "insert" if op[0] == "insert_many" else "delete"
-            if kind != run_kind:
-                flush_run()
-                run_kind = kind
-            if kind == "insert":
-                _, gids, lefts, rights = op
-                run_gids.append(gids)
-                run_lefts.append(lefts)
-                run_rights.append(rights)
-            else:
-                run_gids.append(op[1])
-        flush_run()
-
-        applied = bool(self._pending)
+        if not self._pending:
+            return False
+        inserts = [op for op in self._pending if op[0] == "insert_many"]
+        deletes = [op[1] for op in self._pending if op[0] == "delete_many"]
+        lefts, rights, gids = self._lefts, self._rights, self._global_ids
+        if inserts:
+            gids = np.concatenate([gids] + [op[1] for op in inserts])
+            lefts = np.concatenate([lefts] + [op[2] for op in inserts])
+            rights = np.concatenate([rights] + [op[3] for op in inserts])
+        if deletes:
+            keep = ~np.isin(gids, np.concatenate(deletes))
+            lefts, rights, gids = lefts[keep], rights[keep], gids[keep]
+        # Weighted engines reject writes, so the weights never change here.
+        self._install(lefts, rights, self._weights, gids)
         self._pending = []
-        if applied:
-            # Fold any pooled-but-unflushed inserts into the tree so the flat
-            # snapshot is self-contained (no pool scan on the batch path).
-            self.tree.flush_pool()
-        if self._snapshot is None or self.tree.structure_version != self._snapshot_tree_version:
-            self._snapshot = self.tree.flat()
-            self._snapshot_tree_version = self.tree.structure_version
-            self._global_map = self._global_ids[: self._id_count]
-            self._version += 1
-            return True
-        return False
+        self._version += 1
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

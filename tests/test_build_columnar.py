@@ -5,9 +5,9 @@ output is **bit-identical** to flattening a freshly built node tree over the
 same data — every structure array, every list pool, every weight prefix,
 every derived rank key.  These tests pin that contract across dataset shapes
 (duplicates, point intervals, weighted columns, degenerate sizes), then
-verify the wiring: the ``build_backend`` knob on AIT / AWIT / ShardedEngine,
-lazy node-tree materialisation, and the handoff from a treeless snapshot to
-the incremental dirty-journal refresh path.
+verify the wiring: the ``build_backend`` knob on AIT / AWIT, lazy node-tree
+materialisation, the handoff from a treeless snapshot to the incremental
+dirty-journal refresh path, and the treeless ShardedEngine shards.
 """
 
 from __future__ import annotations
@@ -304,12 +304,17 @@ class TestServiceBackend:
     def test_engine_backends_serve_identical_results(
         self, make_random_dataset, make_queries, num_shards
     ):
+        """Treeless shard snapshots equal the paper's tree build, bit for bit."""
         dataset = make_random_dataset(n=900, seed=50)
         queries = make_queries(dataset, count=20)
         with ShardedEngine(dataset, num_shards=num_shards) as columnar, ShardedEngine(
-            dataset, num_shards=num_shards, build_backend="tree"
+            dataset, num_shards=num_shards
         ) as legacy:
-            assert columnar.build_backend == "columnar"
+            for shard in legacy.shards:
+                subset = dataset.subset(shard.global_map)
+                tree_flat = AIT(subset, build_backend="tree").flat()
+                assert_snapshots_identical(shard.snapshot, tree_flat)
+                shard._snapshot = tree_flat
             assert columnar.count_many(queries).tolist() == legacy.count_many(queries).tolist()
             for mine, theirs in zip(
                 columnar.report_many(queries), legacy.report_many(queries)
@@ -320,38 +325,35 @@ class TestServiceBackend:
             for mine, theirs in zip(mine_rows, their_rows):
                 assert mine.tolist() == theirs.tolist()
 
-    def test_columnar_shards_defer_trees_until_writes(self, make_random_dataset):
+    def test_shards_hold_no_tree(self, make_random_dataset):
         dataset = make_random_dataset(n=600, seed=51)
         with ShardedEngine(dataset, num_shards=2) as engine:
             engine.count((0.0, 100.0))
-            assert all(not shard.tree.tree_materialised for shard in engine.shards)
             engine.insert((1.0, 2.0))
-            engine.refresh()  # write replay materialises the owning shard
-            assert any(shard.tree.tree_materialised for shard in engine.shards)
+            engine.refresh()  # the write folds into the live columns
+            assert all(not hasattr(shard, "tree") for shard in engine.shards)
             assert engine.count((1.0, 1.5)) >= 1
 
     def test_write_then_read_consistency_across_backends(
         self, make_random_dataset, make_queries
     ):
+        """After writes the engine agrees with a core tree given the same updates."""
         dataset = make_random_dataset(n=500, seed=52)
         queries = make_queries(dataset, count=10)
-        engines = [
-            ShardedEngine(dataset, num_shards=2, build_backend=backend)
-            for backend in ("columnar", "tree")
-        ]
+        engine = ShardedEngine(dataset, num_shards=2)
+        tree = AIT(dataset, build_backend="tree")
         try:
             rng = np.random.default_rng(53)
             lefts = rng.uniform(0.0, 1000.0, 40)
             rights = lefts + rng.exponential(20.0, 40)
-            for engine in engines:
-                engine.insert_many(lefts, rights)
-                engine.delete_many(list(range(0, 60, 3)))
-            columnar_counts = engines[0].count_many(queries)
-            legacy_counts = engines[1].count_many(queries)
-            assert columnar_counts.tolist() == legacy_counts.tolist()
+            assert engine.insert_many(lefts, rights).tolist() == tree.insert_many(
+                lefts, rights
+            ).tolist()
+            engine.delete_many(list(range(0, 60, 3)))
+            tree.delete_many(list(range(0, 60, 3)))
+            assert engine.count_many(queries).tolist() == tree.count_many(queries).tolist()
         finally:
-            for engine in engines:
-                engine.close()
+            engine.close()
 
     def test_parallel_refresh_with_lazy_map_executor(self, make_random_dataset):
         """A raw ThreadPoolExecutor (lazy map iterator) must work end to end."""

@@ -9,9 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
-from repro import IntervalDataset, ShardedEngine, SnapshotCorruptError
+from repro import AIT, IntervalDataset, ShardedEngine, SnapshotCorruptError
+from repro.baselines import ExhaustiveScan
 from repro.persist import DeltaLog, flip_byte, snapshot_epochs, truncate_file
-from repro.persist.snapshot import read_header
+from repro.persist.snapshot import flat_to_arrays, load_arrays, read_header, save_arrays
 from repro.persist.wal import HEADER_SIZE as WAL_HEADER_SIZE
 
 
@@ -75,6 +76,58 @@ class TestSnapshotRoundTrip:
     def test_open_missing_directory_raises(self, tmp_path):
         with pytest.raises((SnapshotCorruptError, FileNotFoundError)):
             ShardedEngine.open(str(tmp_path / "nowhere"))
+
+
+class TestPreTreelessShardFiles:
+    """Shard files from before shards went treeless still open correctly.
+
+    That layout kept deleted rows in ``col_*`` / ``global_ids`` (listed in
+    ``deleted`` / ``free_slots``), indexed the snapshot by column slot and
+    flagged fresh builds as ``pristine``.
+    """
+
+    @staticmethod
+    def _write_old_layout(directory, dataset, doomed, num_shards):
+        parts = dataset.partition_indices(num_shards, "round_robin")
+        for shard_id, ids in enumerate(parts):
+            path = os.path.join(directory, f"shard-{shard_id}-1.snap")
+            _, meta = load_arrays(path)
+            tree = AIT(dataset.subset(ids))
+            tree.delete_many(np.flatnonzero(np.isin(ids, doomed)))
+            arrays = flat_to_arrays(tree.flat(), prefix="flat.")
+            arrays["col_lefts"] = tree._lefts
+            arrays["col_rights"] = tree._rights
+            arrays["deleted"] = np.asarray(sorted(tree._deleted), dtype=np.int64)
+            arrays["free_slots"] = np.asarray(tree._free_slots, dtype=np.int64)
+            arrays["global_ids"] = ids
+            meta["pristine"] = not tree._deleted
+            save_arrays(path, arrays, meta=meta)
+
+    @pytest.mark.parametrize("deleted_count", [0, 37])
+    def test_dead_rows_stay_deleted_after_reopen(self, tmp_path, dataset, deleted_count):
+        directory = str(tmp_path / "snap")
+        doomed = np.random.default_rng(5).choice(len(dataset), deleted_count, replace=False)
+        with _engine(dataset, num_shards=3) as engine:
+            engine.delete_many(doomed)
+            engine.save_snapshot(directory)
+        self._write_old_layout(directory, dataset, doomed, num_shards=3)
+
+        with ShardedEngine.open(directory) as restored:
+            assert restored.size == len(dataset) - deleted_count
+            new_id = restored.insert((100.0, 180.0))
+            lefts = np.append(dataset.lefts, 100.0)
+            rights = np.append(dataset.rights, 180.0)
+            live = np.setdiff1d(np.arange(new_id + 1), doomed)
+            oracle = ExhaustiveScan(IntervalDataset(lefts[live], rights[live]))
+            queries = np.vstack((_queries(), [[0.0, 1000.0]]))
+            np.testing.assert_array_equal(
+                restored.count_many(queries), oracle.count_many(queries)
+            )
+            assert restored.size == live.shape[0]
+            rows = restored.sample_many(queries, 64, random_state=3)
+            for (ql, qr), row in zip(queries, rows):
+                assert not np.isin(row, doomed).any()
+                assert ((lefts[row] <= qr) & (ql <= rights[row])).all()
 
 
 class TestWALReplay:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import AIT, AWIT, IntervalDataset, ShardedEngine
+from repro import AIT, AWIT, FlatAIT, IntervalDataset, ShardedEngine
 from repro.core.errors import (
     EmptyResultError,
     InvalidIntervalError,
@@ -296,8 +296,20 @@ class TestUpdates:
         assert engine.delete(0) is False  # double delete
         assert engine.delete(10**9) is False  # unknown id
         assert engine.delete("zero") is False  # junk
+        assert engine.delete("1") is False  # ids are numbers, not strings
+        assert engine.delete(True) is False  # a bool is not an id
         assert engine.size == len(dataset) - 1
         assert engine.count_many([(dataset.lefts[0], dataset.rights[0])]) is not None
+
+    def test_delete_many_rejects_non_integral_ids(self, dataset):
+        """1.9 and True must never stand in for id 1."""
+        engine = ShardedEngine(dataset, num_shards=2)
+        flags = engine.delete_many([1.9, True, np.float64(1.5), float("nan"), np.bool_(True)])
+        assert flags.tolist() == [False] * 5
+        assert engine.size == len(dataset) and engine.pending_ops() == 0
+        assert engine.delete_many([1.0, np.int32(2), np.float64(3.0)]).tolist() == [True] * 3
+        assert engine.size == len(dataset) - 3
+        assert not {1, 2, 3} & {int(g) for row in engine.report_many([(-1e9, 1e9)]) for g in row}
 
     def test_insert_validation(self, dataset):
         engine = ShardedEngine(dataset, num_shards=2)
@@ -411,27 +423,32 @@ class TestBulkWrites:
         with pytest.raises(StructureStateError):
             engine.delete_many([0])
 
-    def test_refresh_replays_delta_log_without_full_snapshot_rebuild(
-        self, make_random_dataset
-    ):
-        """A bounded delta log patches shard snapshots incrementally."""
+    def test_refresh_rebuilds_snapshot_from_live_columns(self, make_random_dataset):
+        """A refresh folds the delta log into the live columns, then rebuilds."""
         dataset = make_random_dataset(n=4000, seed=52)
         engine = ShardedEngine(dataset, num_shards=2)
-        engine.refresh()
-        full_builds_before = [s.tree.snapshot_full_builds for s in engine.shards]
         rng = np.random.default_rng(53)
         lefts = rng.uniform(0.0, 1000.0, 40)
         rights = lefts + rng.exponential(20.0, 40)
-        engine.insert_many(lefts, rights)
-        engine.delete_many(rng.choice(4000, size=30, replace=False))
+        new_ids = engine.insert_many(lefts, rights)
+        doomed = np.concatenate((rng.choice(4000, size=30, replace=False), new_ids[:5]))
+        assert engine.delete_many(doomed).all()
         assert engine.pending_ops() > 0
         engine.refresh()
         assert engine.pending_ops() == 0
-        full_builds_after = [s.tree.snapshot_full_builds for s in engine.shards]
-        assert full_builds_after == full_builds_before  # no full re-flatten
-        assert all(
-            s.tree.snapshot_incremental_refreshes >= 1 for s in engine.shards
-        )
+        all_lefts = np.concatenate((dataset.lefts, lefts))
+        all_rights = np.concatenate((dataset.rights, rights))
+        live = np.setdiff1d(np.arange(4040), doomed)
+        assert np.array_equal(np.sort(np.concatenate([s.global_map for s in engine.shards])), live)
+        for shard in engine.shards:
+            shard_lefts, shard_rights, shard_weights = shard.columns
+            assert shard_weights is None and shard.size == shard.global_map.shape[0]
+            assert np.array_equal(shard_lefts, all_lefts[shard.global_map])
+            assert np.array_equal(shard_rights, all_rights[shard.global_map])
+            mine = shard.snapshot.to_buffers()
+            fresh = FlatAIT.from_arrays(shard_lefts, shard_rights).to_buffers()
+            assert mine.keys() == fresh.keys()
+            assert all(np.array_equal(mine[name], fresh[name]) for name in mine)
 
     def test_mixed_bulk_and_scalar_log_replay(self, make_random_dataset, make_queries):
         """Interleaved scalar and bulk ops replay in log order at refresh."""

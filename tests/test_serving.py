@@ -309,6 +309,27 @@ class TestHttpEndpoints:
         status, _, body = self._post(served, "/count", {"query": list(DOMAIN)})
         assert status == 200
 
+    @pytest.mark.parametrize("bad_id", [1.9, True, "1", None])
+    def test_delete_rejects_non_integral_ids(self, served, bad_id):
+        status, _, body = self._post(served, "/delete", {"id": bad_id})
+        assert status == 400 and "id" in body["error"]
+        # nothing was deleted: interval 1 is still live
+        status, _, body = self._post(served, "/count", {"query": list(DOMAIN)})
+        assert (status, body["result"]) == (200, 64)
+        status, _, body = self._post(served, "/delete", {"id": 1.0})
+        assert (status, body["result"]) == (200, True)
+
+    @pytest.mark.parametrize("bad_size", [2.7, True, "2", -1])
+    def test_sample_rejects_non_integral_sample_sizes(self, served, bad_size):
+        status, _, body = self._post(
+            served, "/sample", {"query": list(DOMAIN), "sample_size": bad_size}
+        )
+        assert status == 400 and "sample size" in body["error"]
+        status, _, body = self._post(
+            served, "/sample", {"query": list(DOMAIN), "sample_size": 3.0}
+        )
+        assert status == 200 and len(body["result"]) == 3
+
 
 class TestDeadlines:
     def test_deadline_miss_cancels_and_returns_504(self):
