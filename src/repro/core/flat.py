@@ -103,6 +103,18 @@ class _RecordBatch:
         """Number of intervals covered by each record."""
         return self.ghi - self.glo + 1
 
+    def layout(self, nq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per query ordinal ``0..nq-1``: first record, record count, total weight.
+
+        Assumes the records are grouped by query (the :meth:`descend_many`
+        contract).
+        """
+        count = np.bincount(self.query, minlength=nq) if len(self) else np.zeros(nq, dtype=_ID)
+        start = np.cumsum(count) - count
+        total_weight = np.zeros(nq, dtype=_F8)
+        np.add.at(total_weight, self.query, self.weight)
+        return start, count, total_weight
+
     def sorted_by_query(self) -> "_RecordBatch":
         """Records grouped by query (stable, so traversal order is preserved)."""
         order = np.argsort(self.query, kind="stable")
@@ -1346,14 +1358,8 @@ class FlatAIT:
         rng = resolve_rng(random_state)
         nq = int(ql.shape[0])
         records = self.collect_records_batch(ql, qr)
-
-        rec_per_query = np.bincount(records.query, minlength=nq) if len(records) else np.zeros(
-            nq, dtype=_ID
-        )
-        rec_end = np.cumsum(rec_per_query)
-        rec_start = rec_end - rec_per_query
-        total_weight = np.zeros(nq, dtype=_F8)
-        np.add.at(total_weight, records.query, records.weight)
+        layout = records.layout(nq)
+        _, rec_per_query, total_weight = layout
         answerable = (rec_per_query > 0) & (total_weight > 0)
 
         if on_empty == "raise":
@@ -1371,47 +1377,12 @@ class FlatAIT:
 
         draw_queries = np.flatnonzero(answerable)
         n_live = draw_queries.shape[0]
-
-        # Pass 1: how many of each query's draws land in each of its records.
-        # Dense (live queries x max records) weight matrix -> one batched
-        # multinomial; the matrix is tiny because records are O(log n) few.
-        # Width must cover every query that owns records — unanswerable
-        # queries (zero total weight) still scatter their records below.
-        width = int(rec_per_query.max())
-        ordinal = np.arange(len(records), dtype=_ID) - rec_start[records.query]
-        dense = np.zeros((nq, width), dtype=_F8)
-        dense[records.query, ordinal] = records.weight
-        pvals = dense[draw_queries] / total_weight[draw_queries, None]
-        hits = self._kernels.multinomial_draw(rng, sample_size, pvals)  # (n_live, width)
-
-        # Map every (query, ordinal) cell back to its flat record index and
-        # expand to one entry per draw; draws come out grouped by query (each
-        # query contributes exactly sample_size of them, contiguously).
-        # Per-draw intermediates use 32-bit indices when the pools allow it —
-        # they are the hot multi-million-element arrays, and halving their
-        # width measurably cuts the wall-clock of the whole pass.
-        idx_dtype = np.int32 if self._all_ids.shape[0] < 2**31 - 1 else _ID
-        cell_record = rec_start[draw_queries][:, None] + np.arange(width, dtype=_ID)[None, :]
-        cell_record = np.minimum(cell_record, len(records) - 1)  # padding cells get 0 hits
-        chosen = np.repeat(cell_record.astype(idx_dtype).ravel(), hits.ravel())
-
-        # Pass 2: pick a position inside the chosen record.
-        n_draws = chosen.shape[0]
-        if self._weighted:
-            positions = self._kernels.weighted_pick(
-                self._all_weight_prefix,
-                records.glo[chosen],
-                records.ghi[chosen],
-                rng.random(n_draws),
-                base=records.gbase[chosen],
-            )
-        else:
-            lengths = records.counts.astype(idx_dtype)[chosen]
-            # floor(u * len) can round up to len for very long records; clamp.
-            offsets = (rng.random(n_draws) * lengths).astype(idx_dtype)
-            np.minimum(offsets, lengths - 1, out=offsets)
-            positions = records.glo.astype(idx_dtype)[chosen]
-            positions += offsets
+        # The record-matrix width covers every query that owns records, not
+        # just the answerable ones: it shapes the multinomial stream, and
+        # pinning it keeps this method's draws stable for a given seed.
+        positions = self._draw_positions(
+            records, layout, [(draw_queries, sample_size, rng)], int(rec_per_query.max())
+        )
         # Restore per-position i.i.d. order: the draws arrive grouped by
         # record; a uniform permutation of each row makes the sequence
         # exchangeable again (see docstring).  Shuffling the (narrower)
@@ -1424,6 +1395,76 @@ class FlatAIT:
         for row, q in enumerate(draw_queries):
             out[int(q)] = ids[row]
         return out
+
+    def _draw_positions(
+        self,
+        records: _RecordBatch,
+        layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+        groups: list,
+        width: Optional[int] = None,
+    ) -> np.ndarray:
+        """Exact per-query draws from collected records, as id-pool positions.
+
+        ``layout`` is ``records.layout(nq)``.  Each group is a
+        ``(queries, n, rng)`` triple: query ordinals that all carry positive
+        total weight, their draw counts (a scalar, or one count per query),
+        and the generator the group draws from.  Per group, one batched
+        multinomial splits every query's ``n`` draws over its records (the
+        dense query x record matrix is tiny: records are ``O(log n)`` few),
+        then one ``rng.random`` call supplies a uniform per draw for the
+        position inside its record.  ``width`` pins the record-matrix width
+        (it shapes the multinomial stream); by default each group uses its
+        widest query.
+
+        The result concatenates the groups in order.  Within a group, query
+        ``queries[i]`` contributes exactly ``n[i]`` positions, contiguously
+        and grouped by record; callers that need exchangeable rows shuffle them.
+        """
+        rec_start, rec_per_query, total_weight = layout
+        # Per-draw intermediates use 32-bit indices when the pools allow it —
+        # they are the hot multi-million-element arrays, and halving their
+        # width measurably cuts the wall-clock of the whole pass.
+        idx_dtype = np.int32 if self._all_ids.shape[0] < 2**31 - 1 else _ID
+        last_record = len(records) - 1
+        chosen_parts: list[np.ndarray] = []
+        uniform_parts: list[np.ndarray] = []
+        for queries, n, rng in groups:
+            starts = rec_start[queries]
+            lengths = rec_per_query[queries]
+            cols = int(lengths.max()) if width is None else width
+            # Pass 1: how many of each query's draws land in each record.
+            rows = np.repeat(np.arange(queries.shape[0], dtype=_ID), lengths)
+            owned = _ranges_to_indices(starts, lengths)
+            dense = np.zeros((queries.shape[0], cols), dtype=_F8)
+            dense[rows, owned - starts[rows]] = records.weight[owned]
+            pvals = dense / total_weight[queries, None]
+            hits = self._kernels.multinomial_draw(rng, n, pvals)  # (len(queries), cols)
+            # Expand every (query, ordinal) cell with its hit count into one
+            # record index per draw; padding cells get 0 hits.
+            cell_record = starts[:, None] + np.arange(cols, dtype=_ID)[None, :]
+            np.minimum(cell_record, last_record, out=cell_record)
+            chosen = np.repeat(cell_record.astype(idx_dtype).ravel(), hits.ravel())
+            chosen_parts.append(chosen)
+            uniform_parts.append(rng.random(chosen.shape[0]))
+        chosen = np.concatenate(chosen_parts)
+        uniforms = np.concatenate(uniform_parts)
+
+        # Pass 2: pick a position inside the chosen record.
+        if self._weighted:
+            return self._kernels.weighted_pick(
+                self._all_weight_prefix,
+                records.glo[chosen],
+                records.ghi[chosen],
+                uniforms,
+                base=records.gbase[chosen],
+            )
+        lengths = records.counts.astype(idx_dtype)[chosen]
+        # floor(u * len) can round up to len for very long records; clamp.
+        offsets = (uniforms * lengths).astype(idx_dtype)
+        np.minimum(offsets, lengths - 1, out=offsets)
+        positions = records.glo.astype(idx_dtype)[chosen]
+        positions += offsets
+        return positions
 
     # ------------------------------------------------------------------ #
     # scalar fast paths

@@ -657,11 +657,11 @@ class ShardedEngine:
 
         Stage 1 allocates each query's draws over the shards with one
         batched multinomial over per-shard overlap counts (weights for
-        weighted engines); stage 2 delegates to each shard's vectorised
-        ``sample_many`` and keeps the first ``allocated`` draws of every row
-        (rows are exchangeable, so a prefix is itself an i.i.d. sample);
-        stage 3 merges and shuffles each query's row so the output carries no
-        shard-grouping information.  The composite per-draw law is exactly
+        weighted engines); stage 2 has every shard make one vectorised,
+        exact draw for each query's allocation (one record collection per
+        shard, see :func:`repro.service.shm._op_sample`); stage 3 merges and
+        shuffles each query's row so the output carries no shard- or
+        record-grouping information.  The composite per-draw law is exactly
         ``1/|q ∩ X|`` (``w(x)/W`` when weighted) — see ``docs/ARCHITECTURE.md``.
         """
         if on_empty not in ("empty", "raise"):
@@ -700,26 +700,30 @@ class ShardedEngine:
         # result deterministic under any executor (no shared-stream races):
         # each shard task builds its own generator from its seed, and plain
         # ints cross the process boundary for free.  The per-shard draw
-        # itself lives in repro.service.shm._op_sample (power-of-two
-        # allocation bucketing, global-id mapping).
+        # itself lives in repro.service.shm._op_sample (one record
+        # collection per shard, one exact draw per seed block, global-id
+        # mapping).
         seeds = spawn_seeds(rng, num_shards)
         per_shard = self._scatter(
             "sample",
             {"ql": ql[live], "qr": qr[live], "alloc": alloc, "seeds": seeds},
         )
 
-        # Stage 3: merge per-shard prefixes into one (n_live, s) matrix ...
-        merged = np.empty((n_live, sample_size), dtype=_ID)
-        cursor = np.zeros(n_live, dtype=_ID)
-        for selected, counts, rows in per_shard:
-            for row_ids, query_row in zip(rows, selected):
-                take = int(counts[query_row])
-                start = int(cursor[query_row])
-                merged[query_row, start : start + take] = row_ids[:take]
-                cursor[query_row] = start + take
-        # ... and shuffle each row: the multinomial groups draws by shard, and
-        # a uniform per-row permutation restores the exchangeable i.i.d. law
-        # (same argument as FlatAIT.sample_many's record-grouping shuffle).
+        # Stage 3: scatter every shard's query-grouped ids into one
+        # (n_live, s) matrix — query q's draws from shard k fill the columns
+        # after those of shards 0..k-1 ...
+        take = alloc.T.ravel()  # shard-major, the order of the concatenated ids
+        row_start = np.arange(n_live, dtype=_ID)[:, None] * sample_size
+        run_start = (row_start + np.cumsum(alloc, axis=1) - alloc).T.ravel()
+        drawn = np.concatenate(per_shard)
+        destination = np.repeat(run_start - (np.cumsum(take) - take), take)
+        destination += np.arange(drawn.shape[0], dtype=_ID)
+        merged = np.empty(n_live * sample_size, dtype=_ID)
+        merged[destination] = drawn
+        merged = merged.reshape(n_live, sample_size)
+        # ... and shuffle each row: shards return draws grouped by shard and
+        # record, and a uniform per-row permutation restores the exchangeable
+        # i.i.d. law (same argument as FlatAIT.sample_many's row shuffle).
         rng.permuted(merged, axis=1, out=merged)
 
         out: list[np.ndarray] = [empty] * nq

@@ -100,6 +100,9 @@ OP_ROUTES = {
 FRONTEND_STATES = ("ready", "degraded", "draining", "closed")
 
 _MAX_BODY_BYTES = 1 << 20
+#: Largest ``sample_size`` a ``/sample`` request may ask for: the engine
+#: allocates ``sample_size``-wide draw arrays per request.
+_MAX_SAMPLE_SIZE = 1 << 20
 _MAX_HEADER_LINES = 100
 
 _STATUS_REASONS = {
@@ -532,7 +535,12 @@ class HttpFrontend:
             if op in ("count", "total_weight", "report"):
                 args, kwargs = (tuple(body["query"]),), {}
             elif op == "sample":
-                args = (tuple(body["query"]), validate_sample_size(body["sample_size"]))
+                sample_size = validate_sample_size(body["sample_size"])
+                if sample_size > _MAX_SAMPLE_SIZE:
+                    raise _BadRequest(
+                        f"sample size must be at most {_MAX_SAMPLE_SIZE}, got {sample_size}"
+                    )
+                args = (tuple(body["query"]), sample_size)
                 kwargs = {"on_empty": body.get("on_empty", "empty")}
             elif op == "insert":
                 args, kwargs = (tuple(body["interval"]),), {}
@@ -543,10 +551,15 @@ class HttpFrontend:
                 args, kwargs = (interval_id,), {}
             else:  # checkpoint
                 args = (body["directory"],) if body.get("directory") is not None else ()
-                kwargs = {
-                    "fsync": bool(body.get("fsync", True)),
-                    "retain": int(body.get("retain", 2)),
-                }
+                fsync = body.get("fsync", True)
+                if not isinstance(fsync, bool):
+                    raise _BadRequest(f"checkpoint fsync must be a JSON bool, got {fsync!r}")
+                retain = integral_value(body.get("retain", 2))
+                if retain is None or retain < 0:
+                    raise _BadRequest(
+                        f"checkpoint retain must be a non-negative integer, got {body['retain']!r}"
+                    )
+                kwargs = {"fsync": fsync, "retain": retain}
         except KeyError as exc:
             raise _BadRequest(f"{op} request body is missing key {exc}") from None
         except (TypeError, ValueError) as exc:

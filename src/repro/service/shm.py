@@ -33,12 +33,13 @@ bare segment key (the whole query batch — the data-parallel scatter) or a
 scatter, see ``ProcessExecutor(scatter=...)``).  :func:`slice_payload` cuts a
 tile's payload out of the batch payload, and :func:`merge_block_results`
 reassembles per-tile results into the exact value the whole-batch op would
-have returned.  Sampling stays bit-identical under any tiling because
-:func:`_op_sample` never draws from one batch-wide stream: every canonical
-:data:`SEED_BLOCK`-query block derives its own generator from the shard seed
-(``SeedSequence(seed, spawn_key=(block,))``), so a block's draws depend only
-on that block's queries — executors merely have to cut tiles on
-:data:`SEED_BLOCK` boundaries.
+have returned.  :func:`_op_sample` collects node records once per shard (or
+per tile) and then makes one exact draw per canonical :data:`SEED_BLOCK`-query
+block, from a generator derived from the shard seed
+(``SeedSequence(seed, spawn_key=(block,))``).  A query's records do not
+depend on the other queries of the descent, so a block's draws depend only
+on that block's queries, and sampling stays bit-identical under any tiling
+whose cuts land on :data:`SEED_BLOCK` boundaries.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _block_rng(seed, block_id: int) -> np.random.Generator:
     )
 
 
-def _op_sample(view: ShardView, payload: dict):
+def _op_sample(view: ShardView, payload: dict) -> np.ndarray:
     """Stage 2 of the engine's two-stage sampler, for one shard.
 
     ``payload`` carries the *live* query endpoints, the stage-1 multinomial
@@ -159,38 +160,30 @@ def _op_sample(view: ShardView, payload: dict):
     payload's first query (0 for a whole batch; the tile start under the
     query-parallel scatter).  This shard reads its own column and seed.
 
-    The draw schedule is *seed-blocked*: queries are grouped by their
-    canonical :data:`SEED_BLOCK`-wide batch-position block, and every block
-    draws from its own generator (:func:`_block_rng`).  Within a block,
-    queries are bucketed by the power-of-two ceiling of their allocation —
-    the flat engine draws one fixed sample count per batch call, so each
-    bucket draws its own max (over-draw bounded at 2x) instead of every
-    query drawing the shard-wide max.  Returns ``(selected, counts, rows)``
-    with rows already mapped to global ids.
+    One record collection (a single ``descend_many``) covers every query the
+    shard has draws for.  The draws themselves are *seed-blocked*: queries
+    are grouped by their canonical :data:`SEED_BLOCK`-wide batch-position
+    block, and each block makes one exact draw from its own generator
+    (:func:`_block_rng`) — query ``q`` gets exactly ``alloc[q, shard]`` ids,
+    nothing is over-drawn or discarded.  Returns one flat array of global
+    ids, grouped by selected query in batch order and, within a query, by
+    record; the engine's final per-row shuffle makes positions exchangeable.
     """
     counts = payload["alloc"][:, view.shard_id]
     selected = np.flatnonzero(counts > 0)
     if selected.shape[0] == 0:
-        return selected, counts, []
-    ql, qr = payload["ql"], payload["qr"]
-    offset = int(payload.get("offset", 0))
+        return np.empty(0, dtype=_ID)
+    snapshot = view.snapshot
+    records = snapshot.collect_records_batch(payload["ql"][selected], payload["qr"][selected])
     seed = payload["seeds"][view.shard_id]
-    caps = counts[selected]
-    levels = np.ceil(np.log2(caps)).astype(_ID)
-    blocks = (offset + selected) // SEED_BLOCK
-    empty = np.empty(0, dtype=_ID)
-    rows: list[np.ndarray] = [empty] * selected.shape[0]
-    for block_id in np.unique(blocks):
-        rng = _block_rng(seed, block_id)
-        in_block = np.flatnonzero(blocks == block_id)
-        for level in np.unique(levels[in_block]):
-            members = in_block[levels[in_block] == level]
-            bucket = selected[members]
-            cap = int(caps[members].max())
-            drawn = view.snapshot._sample_many(ql[bucket], qr[bucket], cap, rng)
-            for position, row in zip(members, drawn):
-                rows[int(position)] = view.to_global(row)
-    return selected, counts, rows
+    blocks = (int(payload.get("offset", 0)) + selected) // SEED_BLOCK
+    cuts = np.flatnonzero(np.diff(blocks)) + 1
+    groups = [
+        (members, counts[selected[members]], _block_rng(seed, blocks[members[0]]))
+        for members in np.split(np.arange(selected.shape[0]), cuts)
+    ]
+    positions = snapshot._draw_positions(records, records.layout(selected.shape[0]), groups)
+    return view.to_global(snapshot._all_ids[positions])
 
 
 #: Op name -> implementation.  Names, not functions, cross the process
@@ -235,25 +228,14 @@ def merge_block_results(op: str, parts: list):
     ``parts`` is a non-empty list of ``(start, result)`` pairs whose tiles
     partition ``[0, nq)``, sorted by ``start``.  The merged value is exactly
     (bit for bit) what the op would have returned over the whole batch:
-    count/total_weight concatenate their per-query vectors, report
-    concatenates its per-query row lists, and sample re-bases each tile's
-    ``selected`` positions by the tile start and concatenates the per-query
-    count columns and row lists.
+    report concatenates its per-query row lists, every other op its flat
+    per-query (count, total_weight) or query-grouped (sample) array.
     """
     if op == "report":
         rows: list[np.ndarray] = []
         for _, part in parts:
             rows.extend(part)
         return rows
-    if op == "sample":
-        selected = np.concatenate(
-            [part[0] + int(start) for start, part in parts]
-        )
-        counts = np.concatenate([part[1] for _, part in parts])
-        rows = []
-        for _, part in parts:
-            rows.extend(part[2])
-        return selected, counts, rows
     return np.concatenate([part for _, part in parts])
 
 

@@ -192,6 +192,34 @@ class TestSamplingDistribution:
         assert len(set(first_owner.tolist())) > 1
         assert len(set(last_owner.tolist())) > 1
 
+    @pytest.mark.parametrize("num_shards", (1, 4))
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_row_positions_are_exchangeable(
+        self, dataset, weighted_dataset, num_shards, weighted
+    ):
+        """The first and the last position of a row each follow the exact law.
+
+        Shards return their draws grouped by record, so the engine's final
+        per-row shuffle is the only thing that keeps a position from
+        encoding which record (or shard) its draw came from.
+        """
+        data = weighted_dataset if weighted else dataset
+        engine = ShardedEngine(data, num_shards=num_shards)
+        lo, hi = data.domain()
+        query = (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.46)
+        population = data.overlap_indices(*query).tolist()
+        assert 20 <= len(population) <= 120
+        rows = np.stack(engine.sample_many([query] * 2_500, 12, random_state=2024))
+        for position in (0, -1):
+            draws = rows[:, position].tolist()
+            if weighted:
+                fit = chi_square_weighted(
+                    draws, population, data.weights[population].tolist()
+                )
+            else:
+                fit = chi_square_uniformity(draws, population)
+            assert not fit.rejects_uniformity(alpha=1e-4), (position, fit)
+
     def test_sample_on_empty_modes(self, dataset):
         engine = ShardedEngine(dataset, num_shards=2)
         _, hi = dataset.domain()
@@ -205,6 +233,73 @@ class TestSamplingDistribution:
     def test_sample_size_zero(self, dataset, queries):
         engine = ShardedEngine(dataset, num_shards=2)
         assert all(row.shape == (0,) for row in engine.sample_many(queries, 0))
+
+
+# ---------------------------------------------------------------------- #
+# per-shard draw schedule: one descent, exact allocations
+# ---------------------------------------------------------------------- #
+class TestShardDrawSchedule:
+    NUM_SHARDS = 4
+
+    @pytest.fixture
+    def engine(self, dataset):
+        return ShardedEngine(dataset, num_shards=self.NUM_SHARDS)
+
+    @pytest.fixture
+    def batch(self, dataset, make_queries):
+        return make_queries(dataset, count=1_000, extent=0.05, seed=3)
+
+    def test_one_descent_per_shard_and_no_over_draw(self, engine, batch, monkeypatch):
+        backend = engine.shards[0].snapshot._kernels
+        descended: list = []
+        drawn: list[np.ndarray] = []
+        descend_many, multinomial_draw = backend.descend_many, backend.multinomial_draw
+
+        def counting_descend(flat, ql, qr):
+            descended.append(flat)
+            return descend_many(flat, ql, qr)
+
+        def recording_draw(rng, sample_size, pvals):
+            hits = multinomial_draw(rng, sample_size, pvals)
+            drawn.append(hits)
+            return hits
+
+        monkeypatch.setattr(backend, "descend_many", counting_descend)
+        monkeypatch.setattr(backend, "multinomial_draw", recording_draw)
+        sample_size = 40
+        rows = engine.sample_many(batch, sample_size, random_state=5)
+
+        n_live = sum(row.shape[0] > 0 for row in rows)
+        assert n_live > 900
+        # Every shard has draws in a batch this size, and each descends once.
+        assert sorted(map(id, descended)) == sorted(id(shard.snapshot) for shard in engine.shards)
+        assert sum(int(hits.sum()) for hits in drawn) == n_live * sample_size
+
+    def test_sample_op_returns_exactly_the_allocation(self, engine, dataset, batch):
+        from repro.service.shm import ShardView, run_shard_op
+
+        ql, qr = FlatAIT.coerce_queries(batch)
+        counts = np.stack([shard.snapshot.count_many(batch) for shard in engine.shards])
+        live = np.flatnonzero(counts.sum(axis=0) > 0)
+        rng = np.random.default_rng(8)
+        alloc = rng.multinomial(25, (counts[:, live] / counts[:, live].sum(axis=0)).T)
+        payload = {
+            "ql": ql[live],
+            "qr": qr[live],
+            "alloc": alloc,
+            "seeds": [int(seed) for seed in rng.integers(0, 2**63, self.NUM_SHARDS)],
+        }
+        for k, shard in enumerate(engine.shards):
+            ids = run_shard_op("sample", ShardView.of_shard(shard), payload)
+            selected = np.flatnonzero(alloc[:, k])
+            assert ids.dtype == np.int64
+            assert ids.shape[0] == int(alloc[:, k].sum())
+            chunks = np.split(ids, np.cumsum(alloc[selected, k])[:-1])
+            for row, chunk in zip(selected, chunks):
+                assert chunk.shape[0] == alloc[row, k]
+                assert np.all(dataset.lefts[chunk] <= qr[live][row])
+                assert np.all(dataset.rights[chunk] >= ql[live][row])
+                assert all(engine.shard_of(int(i)) == k for i in chunk)
 
 
 # ---------------------------------------------------------------------- #

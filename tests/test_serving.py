@@ -37,6 +37,7 @@ from repro.service import (
     http_request,
     is_worker_failure,
 )
+from repro.service.server import _MAX_SAMPLE_SIZE
 
 DOMAIN = (-1.0, 2000.0)
 
@@ -329,6 +330,47 @@ class TestHttpEndpoints:
             served, "/sample", {"query": list(DOMAIN), "sample_size": 3.0}
         )
         assert status == 200 and len(body["result"]) == 3
+
+    def test_sample_size_has_a_ceiling(self, served):
+        # The engine allocates sample_size-wide arrays per request, so an
+        # outside client must not be able to ask for billions of draws.
+        for too_many in (_MAX_SAMPLE_SIZE + 1, 1_000_000_000):
+            status, _, body = self._post(
+                served, "/sample", {"query": list(DOMAIN), "sample_size": too_many}
+            )
+            assert status == 400 and "sample size" in body["error"]
+        # The ceiling itself is accepted (an empty query keeps the reply small).
+        status, _, body = self._post(
+            served, "/sample", {"query": [5000.0, 5001.0], "sample_size": _MAX_SAMPLE_SIZE}
+        )
+        assert (status, body["result"]) == (200, [])
+
+    @pytest.mark.parametrize(
+        "bad_body",
+        [
+            {"fsync": "false"},
+            {"fsync": 0},
+            {"fsync": None},
+            {"retain": 2.7},
+            {"retain": True},
+            {"retain": "2"},
+            {"retain": -1},
+        ],
+    )
+    def test_checkpoint_rejects_loosely_typed_options(self, served, tmp_path, bad_body):
+        directory = tmp_path / "ckpt"
+        status, _, body = self._post(
+            served, "/checkpoint", {"directory": str(directory), **bad_body}
+        )
+        assert status == 400
+        assert next(iter(bad_body)) in body["error"]
+        assert not directory.exists()
+        status, _, body = self._post(
+            served,
+            "/checkpoint",
+            {"directory": str(directory), "fsync": False, "retain": 1.0},
+        )
+        assert (status, body["result"]) == (200, 1)
 
 
 class TestDeadlines:
