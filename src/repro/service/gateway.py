@@ -11,9 +11,10 @@ whom can assemble a batch on their own.  The gateway closes that gap:
   ``checkpoint`` snapshots) from any thread and get a
   :class:`concurrent.futures.Future` back;
 * a single dispatcher thread coalesces queued requests into **micro-batches**
-  under a tunable window — a batch closes when it holds ``max_batch_size``
-  requests or the oldest request has waited ``max_wait_ms`` milliseconds,
-  whichever comes first;
+  with no timer: it blocks for the first request, then takes whatever is
+  already queued behind it (up to ``max_batch_size``) and dispatches.
+  Requests that arrive while a batch runs form the next one, so batches grow
+  with load and an idle gateway adds no wait;
 * each micro-batch is dispatched **grouped by operation** through the
   engine's vectorised ``*_many`` APIs, so a burst of 64 concurrent ``count``
   calls costs one level-synchronous traversal instead of 64.
@@ -61,7 +62,7 @@ from ..core.errors import (
 )
 from ..core.flat import FlatAIT
 from ..core.interval import Interval, validate_endpoints
-from ..core.query import QueryLike, validate_sample_size
+from ..core.query import QueryLike, integral_value, validate_sample_size
 from ..sampling.rng import RandomState, resolve_rng
 from .metrics import GatewayMetrics
 
@@ -109,10 +110,6 @@ class RequestGateway:
     max_batch_size:
         Maximum requests per micro-batch.  ``1`` degenerates to scalar
         dispatch (useful as an experimental baseline).
-    max_wait_ms:
-        Maximum time the *oldest* request in a forming batch waits for
-        batch-mates, i.e. the latency the gateway may add when traffic is
-        light.  ``0`` dispatches whatever is queued without waiting.
     max_queue_depth:
         Bounded-intake cap: when the dispatch queue already holds this many
         requests, :meth:`submit` sheds the newcomer with
@@ -137,7 +134,7 @@ class RequestGateway:
     >>> from repro.service import ShardedEngine, RequestGateway
     >>> data = IntervalDataset.from_pairs([(0, 10), (5, 15), (20, 30), (25, 40)])
     >>> with ShardedEngine(data, num_shards=2) as engine:
-    ...     with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+    ...     with RequestGateway(engine) as gateway:
     ...         future = gateway.submit("count", (4, 12))
     ...         future.result()
     ...         gateway.count((18, 26))        # blocking convenience wrapper
@@ -154,7 +151,6 @@ class RequestGateway:
         self,
         engine,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue_depth: Optional[int] = 8192,
         random_state: RandomState = 0,
         metrics: Optional[GatewayMetrics] = None,
@@ -162,13 +158,10 @@ class RequestGateway:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1 or None, got {max_queue_depth}")
         self._engine = engine
         self._max_batch_size = int(max_batch_size)
-        self._max_wait = float(max_wait_ms) / 1e3
         self._max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self._rng = resolve_rng(random_state)
         self._metrics = metrics if metrics is not None else GatewayMetrics()
@@ -189,11 +182,6 @@ class RequestGateway:
     def max_batch_size(self) -> int:
         """Maximum number of requests coalesced into one micro-batch."""
         return self._max_batch_size
-
-    @property
-    def max_wait_ms(self) -> float:
-        """Maximum milliseconds the oldest queued request waits for batch-mates."""
-        return self._max_wait * 1e3
 
     @property
     def max_queue_depth(self) -> Optional[int]:
@@ -262,7 +250,7 @@ class RequestGateway:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout)
         else:
-            self._drain_all()
+            self.process_pending()
         self._sync_writes()
         if close_engine:
             closer = getattr(self._engine, "close", None)
@@ -309,7 +297,10 @@ class RequestGateway:
             group_key = (op,)
         elif op == "delete":
             (global_id,) = args
-            payload = (int(global_id),)
+            as_int = integral_value(global_id)
+            if as_int is None:
+                raise ValueError(f"delete id must be an integer, got {global_id!r}")
+            payload = (as_int,)
             group_key = (op,)
         elif op == "checkpoint":
             if not hasattr(self._engine, "save_snapshot"):
@@ -319,8 +310,15 @@ class RequestGateway:
             if len(args) > 1:
                 raise TypeError(f"checkpoint takes at most one positional argument, got {len(args)}")
             directory = args[0] if args else None
-            fsync = bool(kwargs.pop("fsync", True))
-            retain = int(kwargs.pop("retain", 2))
+            fsync = kwargs.pop("fsync", True)
+            if not isinstance(fsync, bool):
+                raise ValueError(f"checkpoint fsync must be a bool, got {fsync!r}")
+            raw_retain = kwargs.pop("retain", 2)
+            retain = integral_value(raw_retain)
+            if retain is None or retain < 0:
+                raise ValueError(
+                    f"checkpoint retain must be a non-negative integer, got {raw_retain!r}"
+                )
             payload = (directory, fsync, retain)
             group_key = (op,)
         else:
@@ -481,66 +479,49 @@ class RequestGateway:
     # dispatcher
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            self._execute_batch(self._fill_batch(item))
-        self._drain_all()
+        while (batch := self._next_batch(block=True)) is not None:
+            self._execute_batch(batch)
 
-    def _fill_batch(self, first: _Request) -> list[_Request]:
-        """Grow a micro-batch from ``first`` until full or the window expires."""
-        batch = [first]
-        deadline = first.enqueued_at + self._max_wait
+    def _next_batch(self, block: bool) -> Optional[list[_Request]]:
+        """Take the next micro-batch off the queue; None when there is none.
+
+        With ``block`` the call waits for the first request; every other
+        request joins only if it is already queued, up to ``max_batch_size``.
+        There is no timer: requests that arrive while this batch executes
+        form the next one.  Returns None at the stop sentinel (re-queued when
+        it ends a non-empty batch, so the next call sees it) and, without
+        ``block``, on an empty queue.
+        """
+        batch: list[_Request] = []
         while len(batch) < self._max_batch_size:
-            # Backlogged requests join without waiting ...
             try:
-                item = self._queue.get_nowait()
+                item = self._queue.get(block=block and not batch)
             except queue_module.Empty:
-                # ... then the window keeps the batch open for late arrivals.
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue_module.Empty:
-                    break
+                break
             if item is _STOP:
-                # Preserve shutdown: re-enqueue so the outer loop sees it
-                # right after this batch completes.
-                self._queue.put(_STOP)
+                if batch:
+                    self._queue.put(_STOP)
                 break
             batch.append(item)
-        return batch
-
-    def _drain_all(self) -> None:
-        """Flush every queued request into final micro-batches (shutdown path)."""
-        pending: list[_Request] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is not _STOP:
-                pending.append(item)
-        for start in range(0, len(pending), self._max_batch_size):
-            self._execute_batch(pending[start : start + self._max_batch_size])
+        return batch or None
 
     def process_pending(self) -> int:
         """Synchronously form and execute micro-batches from the current queue.
 
         Only meaningful on a paused gateway (``start=False``): batches are
         formed deterministically in arrival order, honouring
-        ``max_batch_size`` but not the wait window (there is no dispatcher
-        to race against).  Returns the number of requests processed.
+        ``max_batch_size`` (there is no dispatcher to race against).
+        Returns the number of requests processed.
         """
         if self._dispatcher is not None:
             raise RuntimeError(
                 "process_pending is only available on a paused gateway (start=False)"
             )
-        before = self._queue.qsize()
-        self._drain_all()
-        return before
+        processed = 0
+        while (batch := self._next_batch(block=False)) is not None:
+            self._execute_batch(batch)
+            processed += len(batch)
+        return processed
 
     # ------------------------------------------------------------------ #
     # batch execution

@@ -51,7 +51,7 @@ Examples
 >>> from repro.service.server import http_request
 >>> data = IntervalDataset.from_pairs([(0, 10), (5, 15), (20, 30), (25, 40)])
 >>> engine = ShardedEngine(data, num_shards=2)
->>> gateway = RequestGateway(engine, max_wait_ms=0.5)
+>>> gateway = RequestGateway(engine)
 >>> with HttpFrontend(gateway) as frontend:
 ...     host, port = frontend.address
 ...     status, _, body = http_request(host, port, "POST", "/count", {"query": [4, 12]})
@@ -79,7 +79,7 @@ from ..core.errors import (
     InvalidIntervalError,
     InvalidQueryError,
 )
-from ..core.query import integral_value, validate_sample_size
+from ..core.query import validate_sample_size
 from .admission import AdmissionController, CircuitBreaker, Deadline, RetryPolicy, is_worker_failure
 from .gateway import READ_OPS, RequestGateway
 
@@ -545,21 +545,10 @@ class HttpFrontend:
             elif op == "insert":
                 args, kwargs = (tuple(body["interval"]),), {}
             elif op == "delete":
-                interval_id = integral_value(body["id"])
-                if interval_id is None:
-                    raise _BadRequest(f"delete id must be an integer, got {body['id']!r}")
-                args, kwargs = (interval_id,), {}
+                args, kwargs = (body["id"],), {}
             else:  # checkpoint
                 args = (body["directory"],) if body.get("directory") is not None else ()
-                fsync = body.get("fsync", True)
-                if not isinstance(fsync, bool):
-                    raise _BadRequest(f"checkpoint fsync must be a JSON bool, got {fsync!r}")
-                retain = integral_value(body.get("retain", 2))
-                if retain is None or retain < 0:
-                    raise _BadRequest(
-                        f"checkpoint retain must be a non-negative integer, got {body['retain']!r}"
-                    )
-                kwargs = {"fsync": fsync, "retain": retain}
+                kwargs = {"fsync": body.get("fsync", True), "retain": body.get("retain", 2)}
         except KeyError as exc:
             raise _BadRequest(f"{op} request body is missing key {exc}") from None
         except (TypeError, ValueError) as exc:

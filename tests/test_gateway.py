@@ -56,7 +56,7 @@ QUERIES = [(q * 37.0 % 950.0, q * 37.0 % 950.0 + 40.0) for q in range(25)]
 
 class TestCorrectness:
     def test_results_match_direct_engine_calls(self, engine, oracle):
-        with RequestGateway(engine, max_batch_size=8, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine, max_batch_size=8) as gateway:
             for query in QUERIES:
                 assert gateway.count(query, timeout=10) == oracle.count(query)
             got = gateway.report(QUERIES[0], timeout=10)
@@ -68,7 +68,7 @@ class TestCorrectness:
     def test_sample_draws_come_from_result_set(self, engine, oracle):
         query = QUERIES[3]
         member_ids = set(oracle.report(query).tolist())
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             row = gateway.sample(query, 64, timeout=10)
         assert len(row) == 64
         assert set(row.tolist()) <= member_ids
@@ -76,7 +76,7 @@ class TestCorrectness:
     def test_concurrent_clients_get_correct_answers(self, engine, oracle):
         expected = {query: oracle.count(query) for query in QUERIES}
         results: dict[int, list[int]] = {}
-        with RequestGateway(engine, max_batch_size=16, max_wait_ms=2.0) as gateway:
+        with RequestGateway(engine, max_batch_size=16) as gateway:
 
             def client(worker: int) -> None:
                 results[worker] = [gateway.count(query, timeout=30) for query in QUERIES]
@@ -88,13 +88,13 @@ class TestCorrectness:
                 thread.join()
             stats = gateway.stats()
         assert all(values == [expected[q] for q in QUERIES] for values in results.values())
-        # 8 clients x 25 queries should actually coalesce under a 2ms window.
+        # 8 clients x 25 queries queue behind each other's batches and coalesce.
         assert stats["batches"]["dispatched"] < 8 * len(QUERIES)
         assert stats["requests"]["count"] == 8 * len(QUERIES)
 
     def test_writes_become_visible_to_later_reads(self, engine, oracle):
         probe = (200.0, 210.0)
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             before = gateway.count(probe, timeout=10)
             assert before == oracle.count(probe)
             new_id = gateway.insert((0.0, 999.0), timeout=10)
@@ -104,17 +104,50 @@ class TestCorrectness:
             assert gateway.count(probe, timeout=10) == before
 
 
+class _BlockingEngine:
+    """Engine proxy whose first ``count_many`` blocks until released.
+
+    Records ``(method, number of queries)`` for every read call, so a test
+    can see exactly how the dispatcher grouped its backlog.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls: list[tuple[str, int]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def count_many(self, queries):
+        self.calls.append(("count_many", len(queries)))
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(30)
+        return self._inner.count_many(queries)
+
+    def sample_many(self, queries, *args, **kwargs):
+        self.calls.append(("sample_many", len(queries)))
+        return self._inner.sample_many(queries, *args, **kwargs)
+
+
 class TestBatchingSemantics:
-    def test_zero_in_flight_requests_at_window_expiry(self, engine):
-        """An idle gateway dispatches nothing and stays healthy past its window."""
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
-            deadline = threading.Event()
-            deadline.wait(0.05)  # dozens of expired windows with nothing queued
-            assert gateway.is_running
-            assert gateway.stats()["batches"]["dispatched"] == 0
-            # ... and it still serves normally afterwards.
-            assert gateway.count((0.0, 1000.0), timeout=10) > 0
-            assert gateway.stats()["batches"]["dispatched"] == 1
+    def test_running_dispatcher_batches_its_backlog(self, engine, oracle):
+        """Requests queued behind a running batch form the next batch, no timer."""
+        blocking = _BlockingEngine(engine)
+        with RequestGateway(blocking) as gateway:
+            first = gateway.submit("count", QUERIES[0])
+            assert blocking.entered.wait(10)
+            counts = [gateway.submit("count", query) for query in QUERIES[1:4]]
+            sample = gateway.submit("sample", QUERIES[4], 5)
+            blocking.release.set()
+            assert first.result(10) == oracle.count(QUERIES[0])
+            assert [f.result(10) for f in counts] == [oracle.count(q) for q in QUERIES[1:4]]
+            assert len(sample.result(10)) == 5
+            stats = gateway.stats()
+        assert blocking.calls == [("count_many", 1), ("count_many", 3), ("sample_many", 1)]
+        assert stats["batches"]["size_histogram"] == {"1": 1, "3-4": 1}
 
     def test_max_batch_size_one_degenerates_to_scalar_dispatch(self, engine, oracle):
         gateway = RequestGateway(engine, max_batch_size=1, start=False)
@@ -167,7 +200,7 @@ class TestBatchingSemantics:
 
     def test_clean_shutdown_completes_pending_futures(self, engine, oracle):
         expected = oracle.count(QUERIES[0])
-        with RequestGateway(engine, max_batch_size=4, max_wait_ms=50.0) as gateway:
+        with RequestGateway(engine, max_batch_size=4) as gateway:
             futures = [gateway.submit("count", QUERIES[0]) for _ in range(50)]
         # close() (via __exit__) must flush, not cancel: every future done.
         assert all(future.done() for future in futures)
@@ -188,7 +221,7 @@ class TestBatchingSemantics:
 
 class TestValidationAndLifecycle:
     def test_malformed_requests_fail_at_submit_time(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             with pytest.raises((InvalidQueryError, InvalidIntervalError)):
                 gateway.submit("count", (10.0, 2.0))  # left > right
             with pytest.raises((InvalidQueryError, InvalidIntervalError)):
@@ -202,31 +235,61 @@ class TestValidationAndLifecycle:
             # The gateway still works after rejecting garbage.
             assert gateway.count((0.0, 1000.0), timeout=10) > 0
 
+    @pytest.mark.parametrize("bad_id", [1.9, "3", True, None, float("nan")])
+    def test_delete_rejects_non_integral_ids_at_submit_time(self, engine, bad_id):
+        gateway = RequestGateway(engine, start=False)
+        with pytest.raises(ValueError, match=r"delete id must be an integer"):
+            gateway.submit("delete", bad_id)
+        assert gateway.queue_depth == 0
+        # an integral float is an id: 1.0 deletes interval 1
+        future = gateway.submit("delete", 1.0)
+        gateway.process_pending()
+        assert future.result(0) is True
+        gateway.close()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"fsync": "false"}, "fsync"),
+            ({"fsync": 0}, "fsync"),
+            ({"fsync": None}, "fsync"),
+            ({"retain": 2.7}, "retain"),
+            ({"retain": True}, "retain"),
+            ({"retain": "2"}, "retain"),
+            ({"retain": -1}, "retain"),
+        ],
+    )
+    def test_checkpoint_rejects_loosely_typed_options(self, engine, tmp_path, options, message):
+        gateway = RequestGateway(engine, start=False)
+        with pytest.raises(ValueError, match=rf"checkpoint {message} must be"):
+            gateway.submit("checkpoint", str(tmp_path / "ckpt"), **options)
+        assert gateway.queue_depth == 0
+        gateway.close()
+        assert not (tmp_path / "ckpt").exists()
+
     def test_constructor_validation(self, engine):
         with pytest.raises(ValueError):
             RequestGateway(engine, max_batch_size=0)
-        with pytest.raises(ValueError):
-            RequestGateway(engine, max_wait_ms=-1.0)
 
     def test_process_pending_requires_paused_gateway(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             with pytest.raises(RuntimeError):
                 gateway.process_pending()
 
     def test_close_is_idempotent(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         gateway.close()
         gateway.close()
         assert not gateway.is_running
 
     def test_external_metrics_object_is_used(self, engine):
         metrics = GatewayMetrics()
-        with RequestGateway(engine, max_wait_ms=1.0, metrics=metrics) as gateway:
+        with RequestGateway(engine, metrics=metrics) as gateway:
             gateway.count((0.0, 1000.0), timeout=10)
         assert metrics.snapshot()["requests"] == {"count": 1}
 
     def test_stats_shape(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             gateway.count((0.0, 500.0), timeout=10)
             gateway.sample((0.0, 500.0), 4, timeout=10)
             stats = gateway.stats()
@@ -256,7 +319,7 @@ class TestCloseDurability:
     """Lifecycle contract added with the durability layer (v1.4)."""
 
     def test_submit_after_close_raises_gateway_closed(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         gateway.close()
         with pytest.raises(GatewayClosedError, match=r"gateway is closed"):
             gateway.submit("count", (0.0, 10.0))
@@ -265,7 +328,7 @@ class TestCloseDurability:
             gateway.count((0.0, 10.0), timeout=1)
 
     def test_close_during_concurrent_submits_never_drops_futures(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         futures, rejected = [], []
 
         def client(base):
@@ -292,8 +355,8 @@ class TestCloseDurability:
         engine = ShardedEngine(dataset, num_shards=2)
         engine.refresh()
         engine.save_snapshot(directory)
-        # long max_wait: requests queue up and are drained by close() itself
-        gateway = RequestGateway(engine, max_batch_size=4, max_wait_ms=200.0)
+        # paused: the requests stay queued and close() itself drains them
+        gateway = RequestGateway(engine, max_batch_size=4, start=False)
         futures = [
             gateway.submit("insert", (float(i), float(i) + 1.0)) for i in range(24)
         ]
@@ -320,7 +383,7 @@ class TestCheckpoint:
     def test_checkpoint_round_trips_through_reopen(self, dataset, tmp_path):
         directory = str(tmp_path / "ckpt")
         with ShardedEngine(dataset, num_shards=2) as engine:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
                 before = gateway.insert((1.0, 2.0), timeout=10)
                 epoch = gateway.checkpoint(directory, timeout=30)
                 assert epoch == 1
@@ -337,7 +400,7 @@ class TestCheckpoint:
         acknowledged: list[int] = []
         lock = threading.Lock()
         with ShardedEngine(dataset, num_shards=2) as engine:
-            with RequestGateway(engine, max_batch_size=8, max_wait_ms=0.5) as gateway:
+            with RequestGateway(engine, max_batch_size=8) as gateway:
 
                 def writer(base: float) -> None:
                     for i in range(30):
@@ -369,7 +432,7 @@ class TestCheckpoint:
     def test_checkpoint_error_lands_on_its_future_only(self, engine):
         # engine not attached to a directory and none given -> ValueError,
         # delivered on the checkpoint future; batch-mates are unaffected
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             bad = gateway.submit("checkpoint")
             good = gateway.submit("count", (0.0, 10.0))
             with pytest.raises(ValueError, match=r"not attached"):
@@ -428,7 +491,7 @@ class TestTimeoutSemantics:
     """The v1.8 wrapper-timeout contract: cancel what has not started."""
 
     def test_wrapper_timeout_cancels_unstarted_request(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0, start=False)
+        gateway = RequestGateway(engine, start=False)
         with pytest.raises(TimeoutError, match=r"cancelled before dispatch"):
             gateway.count((0.0, 10.0), timeout=0.05)
         stats = gateway.stats()
@@ -440,7 +503,7 @@ class TestTimeoutSemantics:
 
     def test_timed_out_write_does_not_apply_invisibly(self, engine):
         before = engine.size
-        gateway = RequestGateway(engine, max_wait_ms=1.0, start=False)
+        gateway = RequestGateway(engine, start=False)
         with pytest.raises(TimeoutError, match=r"cancelled before dispatch"):
             gateway.insert((500.0, 510.0), timeout=0.05)
         gateway.process_pending()
@@ -460,7 +523,7 @@ class TestTimeoutSemantics:
             def count_many(self, queries):
                 raise WorkerTimeoutError("shard worker (pid 7) did not reply within 5s")
 
-        with RequestGateway(_TimeoutingEngine(engine), max_wait_ms=1.0) as gateway:
+        with RequestGateway(_TimeoutingEngine(engine)) as gateway:
             # the request's own timeout-class error must surface, not be
             # rewritten into a wrapper wait-timeout
             with pytest.raises(WorkerTimeoutError, match=r"did not reply within"):

@@ -226,7 +226,7 @@ class TestHttpEndpoints:
     @pytest.fixture
     def served(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         frontend.start_in_thread()
         yield frontend
@@ -377,7 +377,7 @@ class TestDeadlines:
     def test_deadline_miss_cancels_and_returns_504(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         gated = _GatedEngine(engine)
-        gateway = RequestGateway(gated, max_wait_ms=0.5)
+        gateway = RequestGateway(gated)
         frontend = HttpFrontend(gateway)
         host, port = frontend.start_in_thread()
         try:
@@ -408,7 +408,7 @@ class TestLoadShedding:
     def test_saturation_sheds_429_with_retry_after(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         gated = _GatedEngine(engine)
-        gateway = RequestGateway(gated, max_wait_ms=0.5)
+        gateway = RequestGateway(gated)
         frontend = HttpFrontend(
             gateway,
             admission=AdmissionController(max_pending=2, high_water=2, low_water=1,
@@ -459,7 +459,7 @@ class TestCircuitBreakerChaos:
     def test_breaker_trips_to_read_only_and_recovers(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         flaky = _FlakyEngine(engine)
-        gateway = RequestGateway(flaky, max_wait_ms=0.5)
+        gateway = RequestGateway(flaky)
         frontend = HttpFrontend(
             gateway,
             retry=RetryPolicy(max_attempts=2, base_backoff_s=0.001, jitter=0.0),
@@ -515,7 +515,7 @@ class TestGracefulDrain:
 
     def test_drain_refuses_new_work_and_loses_no_acked_write(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         host, port = frontend.start_in_thread()
         acked: list[list[int]] = [[] for _ in range(self.N_WRITERS)]
@@ -575,7 +575,7 @@ class TestGracefulDrain:
 
     def test_close_is_idempotent(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         frontend.start_in_thread()
         frontend.close()
