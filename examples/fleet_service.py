@@ -14,8 +14,8 @@ independent range sampling is built for, served here by
   summation; samples are allocated by a multinomial over per-shard overlap
   counts, so the merged draws are exactly i.i.d. uniform);
 * dispatch writes land in per-shard delta logs and become visible at the
-  next batch boundary — snapshots refresh lazily and are never swapped
-  mid-batch.
+  next batch boundary, folded into small delta tiers (inserts and
+  tombstones) beside the immutable snapshots — never mid-batch.
 
 Run with::
 
@@ -79,8 +79,8 @@ def main() -> None:
         print(f"\ndispatch: +{NEW_SHIFTS} shifts, -{CANCELLED} cancellations "
               f"({engine.pending_ops()} ops buffered, versions still {engine.versions()})")
 
-        # The next batch observes all buffered writes: snapshots refresh at
-        # the batch boundary, never mid-batch.
+        # The next batch observes all buffered writes: they fold into the
+        # shards' delta tiers at the batch boundary, never mid-batch.
         counts_after = engine.count_many(hours)
         print(f"noon count {counts[12]} -> {counts_after[12]} "
               f"(versions now {engine.versions()}, {engine.pending_ops()} ops pending)")

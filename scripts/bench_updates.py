@@ -17,7 +17,9 @@ Three measurements per dataset size:
   dirty-node splice rather than a full ``FlatAIT.from_tree`` re-flatten (the
   script errors if a full rebuild was triggered while the delta is small
   relative to the tree).  The full-rebuild time is measured next to it for
-  scale.  Engine shards do not use this path: they rebuild treelessly;
+  scale.  Engine shards do not use this path: they fold writes into a
+  delta tier of inserts and tombstones and rebuild treelessly only when
+  they compact;
 * **mixed** — the ``update_throughput`` experiment's mixed read/write rounds
   (write ratio x shard count), reusing the same measurement helper.
 

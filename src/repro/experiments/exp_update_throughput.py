@@ -83,9 +83,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         notes=(
             "Each round applies write_ratio * query_count balanced bulk writes "
             "(insert_many + delete_many) and then one count_many batch, which "
-            "pays each touched shard's treeless snapshot rebuild from its live "
-            "columns. Expect reads/sec to fall as the write ratio grows; only "
-            "the shards that took writes rebuild, so more shards soften the fall."
+            "pays each touched shard's delta fold (inserts and tombstones "
+            "beside an immutable base) and, once a shard's delta outgrows 1/32 "
+            "of its base, a treeless compaction rebuild. Expect reads/sec to "
+            "fall only mildly as the write ratio grows."
         ),
     )
     for dataset_name in config.datasets:

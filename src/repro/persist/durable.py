@@ -4,7 +4,7 @@ A snapshot *directory* holds a sequence of **epochs**.  Epoch ``e`` consists
 of::
 
     shard-<k>-<e>.snap     per-shard snapshot (flat arrays + live columns + id map)
-    engine-<e>.state       engine bookkeeping (owner map, tombstones, cursors)
+    engine-<e>.state       engine bookkeeping (owner map, deleted ids, cursors)
     wal-<e>-shard<k>.log   the delta log that extends epoch e (one per shard)
     MANIFEST-<e>.json      the commit record, written last via rename
 
@@ -18,16 +18,17 @@ first epoch whose files all pass validation, then replays **every** WAL with
 epoch >= the restored one, oldest first — epochs partition time, so the
 concatenated logs replay the exact acknowledged write sequence.  Torn WAL
 tails are truncated, never fatal.  Replayed writes land in the shards'
-in-memory delta logs and fold into the snapshots through the ordinary
+in-memory delta logs and fold into their delta tiers through the ordinary
 refresh at the next batch boundary.
 
 Crash-consistency argument (the "acknowledged => recovered" contract):
 
 1. a write is acknowledged only after its WAL record is appended (and, per
    fsync policy, fsynced) to the WAL of the current epoch ``t``;
-2. ``save_engine_snapshot`` first folds every buffered write into the new
-   epoch's snapshot files, then creates the empty epoch-``e`` WALs, and only
-   then commits ``MANIFEST-<e>``;
+2. ``save_engine_snapshot`` first folds every buffered write and compacts
+   every shard, so the new epoch's snapshot files hold every write, then
+   creates the empty epoch-``e`` WALs, and only then commits
+   ``MANIFEST-<e>``;
 3. hence for any recovery base ``b``: an acknowledged write either predates
    epoch ``b`` (it is inside the epoch-``b`` snapshot arrays) or was logged
    to the WAL of some epoch ``t >= b`` that recovery replays.  Old WALs are
@@ -135,11 +136,12 @@ def save_engine_snapshot(engine, directory=None, fsync: bool = True,
                          retain: int = 2) -> int:
     """Persist a full engine checkpoint; return the committed epoch number.
 
-    Folds every buffered write into fresh shard snapshots, writes one epoch
-    of files, rotates the write-ahead logs, commits the manifest, and
-    garbage-collects epochs older than the ``retain`` newest.  The engine
-    stays attached to ``directory``: subsequent buffered writes are
-    journaled to the new epoch's WALs.
+    Folds every buffered write and compacts every shard into a fresh base
+    (:meth:`ShardedEngine.compact`), writes one epoch of files, rotates the
+    write-ahead logs, commits the manifest, and garbage-collects epochs
+    older than the ``retain`` newest.  The engine stays attached to
+    ``directory``: subsequent buffered writes are journaled to the new
+    epoch's WALs.
 
     .. warning::
        The engine (like all of its methods) is **not thread-safe**, and this
@@ -161,8 +163,9 @@ def save_engine_snapshot(engine, directory=None, fsync: bool = True,
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
 
-    # Every acknowledged write folds into the new snapshot files.
-    engine.refresh()
+    # Every acknowledged write folds into the new snapshot files: a
+    # compacted shard's base is its whole live set.
+    engine.compact()
 
     known = set(snapshot_epochs(directory)) | set(_wal_files(directory))
     epoch = max(known, default=0) + 1
@@ -174,7 +177,7 @@ def save_engine_snapshot(engine, directory=None, fsync: bool = True,
         _save_shard(shard, os.path.join(directory, name), weighted, fsync)
         shard_files.append(name)
 
-    deleted = np.fromiter(sorted(engine._deleted), dtype=_ID, count=len(engine._deleted))
+    deleted = np.flatnonzero(engine._dead[: engine._owner_count]).astype(_ID)
     engine_arrays = {
         "owner": engine._owner[: engine._owner_count],
         "deleted": deleted,
@@ -353,7 +356,9 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
     engine._owner = owner
     engine._owner_count = int(owner.shape[0])
     engine._next_global = int(engine_meta["next_global"])
-    engine._deleted = set(int(g) for g in engine_arrays["deleted"])
+    engine._dead = np.zeros(owner.shape[0], dtype=bool)
+    engine._dead[np.asarray(engine_arrays["deleted"], dtype=_ID)] = True
+    engine._delta_index = None
     engine._active = int(engine_meta["active"])
     engine._rr_cursor = int(engine_meta["rr_cursor"])
     bounds = engine_arrays.get("range_bounds")
@@ -365,14 +370,13 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
 
 def _record_recovered_owners(engine, global_ids: np.ndarray, shard_index: int) -> None:
     top = int(global_ids.max()) + 1
-    if top > engine._owner.shape[0]:
-        grow = max(16, top - engine._owner.shape[0], engine._owner.shape[0] // 2)
-        # -1, not np.empty: one shard's torn WAL tail can leave id gaps below
-        # another shard's surviving ids, and those gap entries sit inside the
-        # new _owner_count.  A garbage shard index there would route a later
-        # delete_many to the wrong shard; -1 marks the id as never recovered
-        # (delete_many and shard_of treat negative owners as unknown).
-        engine._owner = np.concatenate((engine._owner, np.full(grow, -1, dtype=_ID)))
+    # Growth fills owners with -1, not garbage: one shard's torn WAL tail can
+    # leave id gaps below another shard's surviving ids, and those gap
+    # entries sit inside the new _owner_count.  A garbage shard index there
+    # would route a later delete_many to the wrong shard; -1 marks the id as
+    # never recovered (delete_many and shard_of treat negative owners as
+    # unknown).
+    engine._reserve_ids(top)
     engine._owner[global_ids] = shard_index
     engine._owner_count = max(engine._owner_count, top)
     engine._next_global = max(engine._next_global, top)
@@ -391,7 +395,7 @@ def _apply_wal_records(engine, shard_index: int, records: list) -> int:
         else:
             global_ids = op[1]
             shard.buffer_delete_many(global_ids)
-            engine._deleted.update(int(g) for g in global_ids)
+            engine._dead[global_ids] = True
             engine._active -= int(global_ids.shape[0])
         applied += len(op[1])
     return applied

@@ -2,44 +2,51 @@
 
 This is the serving layer the reproduction grows toward: it partitions an
 :class:`~repro.core.dataset.IntervalDataset` across ``K`` shards, keeps one
-:class:`~repro.core.flat.FlatAIT` snapshot per shard, and answers the full
-batch API (``count_many`` / ``report_many`` / ``sample_many`` /
-``total_weight_many``) by fanning each batch out over the shards and merging
-the partial results:
+immutable base :class:`~repro.core.flat.FlatAIT` per shard plus a small
+delta tier of recent writes, and answers the full batch API
+(``count_many`` / ``report_many`` / ``sample_many`` / ``total_weight_many``)
+by fanning each batch out over the shards and merging the partial results:
 
 * **counting** and **weighted counting** merge by summation — each interval
-  lives in exactly one shard, so per-shard results partition ``q ∩ X``;
+  lives in exactly one shard, so per-shard results partition ``q ∩ X``.
+  The delta tiers add one engine-wide correction from the two-search
+  identity ``#{left <= q.r} - #{right < q.l}`` over a signed endpoint set
+  (+1 per delta insert, -1 per tombstoned base interval);
 * **reporting** merges by concatenation, with shard-local ids mapped back to
   engine-global ids;
 * **sampling** stays *exactly* i.i.d.: for each query the engine first draws
   how many of its ``s`` samples fall into each shard from a multinomial over
   the per-shard overlap counts (overlap *weights* for weighted engines), then
-  delegates those draws to each shard's vectorised ``sample_many`` and
-  shuffles the merged row.  Conditioning on shard membership, a uniform
-  (weight-proportional) draw within the shard is uniform
-  (weight-proportional) over all of ``q ∩ X`` — the same two-stage argument
-  that makes the paper's record-level alias sampling exact (Theorem 3 /
-  Corollary 5), lifted one level up.  See ``docs/ARCHITECTURE.md`` for the
-  full derivation.
+  every shard makes exactly that many uniform draws in
+  :func:`repro.service.shm._op_sample` (one record collection per shard,
+  one exact draw per seed block; base draws that hit a tombstone are
+  redrawn), and the engine shuffles the merged row.  Conditioning on shard
+  membership, a uniform (weight-proportional) draw within the shard is
+  uniform (weight-proportional) over all of ``q ∩ X`` — the same two-stage
+  argument that makes the paper's record-level alias sampling exact
+  (Theorem 3 / Corollary 5), lifted one level up.  See
+  ``docs/ARCHITECTURE.md`` for the full derivation.
 
 Writes (:meth:`ShardedEngine.insert` / :meth:`ShardedEngine.delete`) are
-routed to the owning shard's buffered delta log and applied by a versioned
-snapshot refresh at the next batch boundary — a snapshot is rebuilt lazily,
-never mid-batch, so one scatter-gather round always observes one consistent
-version per shard.
+routed to the owning shard's buffered delta log and folded into its delta
+tier at the next batch boundary — never mid-batch, so one scatter-gather
+round always observes one consistent version per shard.  A shard rebuilds
+its base (a *compaction*) only once its delta tier outgrows
+:data:`repro.service.shard.COMPACT_FRACTION` of the base, and in
+:meth:`ShardedEngine.save_snapshot`.
 
 The scatter-gather step executes through a pluggable executor
 (:mod:`repro.service.executor`): a serial loop by default, a thread pool
 (``executor="threads"``) when shards are large enough for the GIL-releasing
 NumPy kernels to run in parallel, or long-lived worker processes
-(``executor="process"``) that attach each shard's snapshot arrays through
+(``executor="process"``) that attach each shard's base arrays through
 ``multiprocessing.shared_memory`` and execute the whole per-shard code path
 off the owner's GIL.  Whatever the executor, every per-shard op runs the same
 module-level implementation over a :class:`~repro.service.shm.ShardView`
 (:meth:`ShardedEngine._scatter`), so results are bit-identical across
-execution tiers; writes and snapshot refreshes always stay on the owner
-process, and a shard's version bump triggers re-publication of its shared
-segment.
+execution tiers; writes, delta folds and compactions always stay on the
+owner process, the delta tiers travel with the op payload, and only a
+compaction triggers re-publication of a shard's shared segment.
 """
 
 from __future__ import annotations
@@ -63,6 +70,77 @@ __all__ = ["ShardedEngine"]
 
 _ID = np.int64
 _F8 = np.float64
+
+
+class _DeltaIndex:
+    """Overlap counts of every shard's delta tier, for a whole query batch.
+
+    One signed endpoint set over all shards: column ``k`` counts shard
+    ``k``'s delta inserts, column ``K + k`` its tombstoned base intervals.
+    ``lefts`` / ``rights`` are the set's sorted endpoint values and
+    ``left_prefix[i]`` / ``right_prefix[i]`` the per-column counts of the
+    ``i`` smallest, so two ``searchsorted`` calls answer every query with
+    the counting identity ``#{left <= q.r} - #{right < q.l}``.
+    """
+
+    __slots__ = (
+        "num_shards",
+        "lefts",
+        "rights",
+        "left_prefix",
+        "right_prefix",
+        "left_net",
+        "right_net",
+    )
+
+    def __init__(self, shards: list[Shard]) -> None:
+        k = self.num_shards = len(shards)
+        parts = [shard.delta_endpoints() for shard in shards]
+        # Inserts of shard i count in column i, its tombstones in column k + i.
+        columns = np.concatenate(
+            [np.full(p[0].shape[0], i, dtype=_ID) for i, p in enumerate(parts)]
+            + [np.full(p[2].shape[0], k + i, dtype=_ID) for i, p in enumerate(parts)]
+        )
+        self.lefts, self.left_prefix = self._prefix(
+            [p[0] for p in parts] + [p[2] for p in parts], columns
+        )
+        self.rights, self.right_prefix = self._prefix(
+            [p[1] for p in parts] + [p[3] for p in parts], columns
+        )
+        self.left_net = self.left_prefix[:, :k].sum(axis=1) - self.left_prefix[:, k:].sum(axis=1)
+        self.right_net = self.right_prefix[:, :k].sum(axis=1) - self.right_prefix[:, k:].sum(axis=1)
+
+    def _prefix(self, endpoints: list[np.ndarray], columns: np.ndarray):
+        """Sorted endpoint values and, per column, the counts of each sorted prefix."""
+        values = np.concatenate(endpoints)
+        order = np.argsort(values, kind="stable")
+        counts = np.zeros((values.shape[0] + 1, 2 * self.num_shards), dtype=_ID)
+        counts[np.arange(1, values.shape[0] + 1), columns[order]] = 1
+        return values[order], np.cumsum(counts, axis=0)
+
+    @classmethod
+    def of(cls, shards: list[Shard]) -> Optional["_DeltaIndex"]:
+        """The index over ``shards``' delta tiers, or None when every tier is empty."""
+        if all(shard.delta is None for shard in shards):
+            return None
+        return cls(shards)
+
+    def _ranks(self, ql: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.searchsorted(self.lefts, qr, side="right"),
+            np.searchsorted(self.rights, ql, side="left"),
+        )
+
+    def net_counts(self, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
+        """Per query: overlapping delta inserts minus overlapping tombstones, all shards."""
+        below_r, below_l = self._ranks(ql, qr)
+        return self.left_net[below_r] - self.right_net[below_l]
+
+    def per_shard(self, ql: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(fresh, dead)``: overlapping delta inserts and tombstones, each ``(nq, K)``."""
+        below_r, below_l = self._ranks(ql, qr)
+        both = self.left_prefix[below_r] - self.right_prefix[below_l]
+        return both[:, : self.num_shards], both[:, self.num_shards :]
 
 
 class ShardedEngine:
@@ -104,11 +182,12 @@ class ShardedEngine:
         executor workers inherit the choice through the shared-memory
         publish descriptor, so all execution tiers run the same kernels.
     parallel_refresh:
-        When True, shard construction and delta-log refreshes fan out over
-        the engine's executor (one task per shard; shards are disjoint, so
-        this is race-free).  Worth turning on with ``executor="threads"``
-        on multi-core machines — the per-shard rebuild work is dominated by
-        GIL-releasing NumPy kernels.  Defaults to False (serial refresh).
+        When True, shard construction, refreshes and compactions fan out
+        over the engine's executor (one task per shard; shards are disjoint,
+        so this is race-free).  Only construction and compaction — full
+        ``from_arrays`` builds, dominated by GIL-releasing NumPy kernels —
+        carry enough work to gain from it; folding writes into a delta tier
+        is cheap.  Defaults to False (serial).
 
     Examples
     --------
@@ -181,14 +260,16 @@ class ShardedEngine:
         owner = np.empty(len(dataset), dtype=_ID)
         for i, ids in enumerate(parts):
             owner[ids] = i
-        # Global-id -> shard map as a bare int64 array (amortised growth on
-        # insert): at the scale this layer targets a boxed-int container
-        # would cost an order of magnitude more memory.
+        # Global-id -> shard map and deleted flags as bare arrays (amortised
+        # growth on insert, see _reserve_ids): at the scale this layer
+        # targets a boxed-int container would cost an order of magnitude
+        # more memory.
         self._owner = owner
+        self._dead = np.zeros(len(dataset), dtype=bool)
         self._owner_count = len(dataset)
         self._next_global = len(dataset)
-        self._deleted: set[int] = set()
         self._active = len(dataset)
+        self._delta_index: Optional[_DeltaIndex] = None
         self._rr_cursor = len(dataset) % len(self._shards)
         if policy == "range":
             # Upper midpoint of each shard but the last: the routing fence for
@@ -265,15 +346,15 @@ class ShardedEngine:
         return tuple(self._shards)
 
     def shard_sizes(self) -> list[int]:
-        """Active interval count per shard (snapshot view; pending writes excluded)."""
+        """Interval count per shard visible to reads (buffered writes excluded)."""
         return [shard.size for shard in self._shards]
 
     def versions(self) -> list[int]:
-        """Current snapshot version of every shard."""
+        """Current visible-state version of every shard."""
         return [shard.version for shard in self._shards]
 
     def pending_ops(self) -> int:
-        """Total buffered writes not yet folded into shard snapshots."""
+        """Total buffered writes not yet folded into the shards' delta tiers."""
         return sum(shard.pending_ops for shard in self._shards)
 
     def shard_of(self, global_id: int) -> int:
@@ -285,20 +366,30 @@ class ShardedEngine:
             raise KeyError(f"interval id {global_id} was never assigned")
         return int(self._owner[g])
 
-    def _append_owners(self, owners: np.ndarray) -> None:
-        """Record the owning shard of freshly assigned global ids (amortised growth)."""
-        need = self._owner_count + int(owners.shape[0])
+    def _reserve_ids(self, need: int) -> None:
+        """Grow the id-indexed columns (owner, deleted flag) to hold ``need`` ids.
+
+        Amortised: capacity grows by at least half, so a stream of inserts
+        costs O(1) copies per id.
+        """
         if need > self._owner.shape[0]:
             grow = max(16, need - self._owner.shape[0], self._owner.shape[0] // 2)
-            # -1 fill: entries beyond _owner_count are unreachable here, but
-            # the recovery path can surface id gaps (see shard_of), so the
-            # whole array keeps the invariant "unassigned slot == -1".
+            # -1 fill: entries beyond _owner_count are unreachable from the
+            # insert path, but the recovery path can surface id gaps (see
+            # shard_of), so the whole array keeps the invariant
+            # "unassigned slot == -1".
             self._owner = np.concatenate((self._owner, np.full(grow, -1, dtype=_ID)))
+            self._dead = np.concatenate((self._dead, np.zeros(grow, dtype=bool)))
+
+    def _append_owners(self, owners: np.ndarray) -> None:
+        """Record the owning shard of freshly assigned global ids."""
+        need = self._owner_count + int(owners.shape[0])
+        self._reserve_ids(need)
         self._owner[self._owner_count : need] = owners
         self._owner_count = need
 
     def nbytes(self) -> int:
-        """Approximate memory footprint across all shards (columns + snapshots)."""
+        """Approximate memory footprint across all shards (columns, snapshots, delta tiers)."""
         return sum(shard.nbytes() for shard in self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -316,46 +407,78 @@ class ShardedEngine:
 
         Called automatically at the start of every batch; exposed so callers
         can pay the refresh cost at a moment of their choosing (e.g. off the
-        request path).  ``parallel`` overrides the engine's
-        ``parallel_refresh`` setting for this call: when on, every shard
-        with pending writes rebuilds on the executor concurrently (shards
-        are disjoint, so per-shard refresh is race-free).
+        request path).  Each shard with pending writes folds them into its
+        delta tier, and compacts when the tier has outgrown
+        :data:`repro.service.shard.COMPACT_FRACTION` of its base.
+        ``parallel`` overrides the engine's ``parallel_refresh`` setting for
+        this call: when on, the shards refresh on the executor concurrently
+        (shards are disjoint, so per-shard refresh is race-free).
+        """
+        pending = [shard for shard in self._shards if shard.pending_ops]
+        if pending:
+            self._sweep(pending, Shard.refresh, parallel)
+        return self.versions()
+
+    def compact(self, parallel: Optional[bool] = None) -> list[int]:
+        """Fold every buffered write, then rebuild every shard that has a delta tier.
+
+        Afterwards every shard serves a fresh ``from_arrays`` base over its
+        live rows and an empty delta tier — the state a checkpoint holds
+        (:meth:`save_snapshot` calls this).  ``parallel`` works as in
+        :meth:`refresh`.  Returns the per-shard versions.
+        """
+        self.refresh(parallel)
+        layered = [shard for shard in self._shards if shard.delta is not None]
+        if layered:
+            self._sweep(layered, Shard.compact, parallel)
+        return self.versions()
+
+    def _sweep(self, shards: list[Shard], step, parallel: Optional[bool]) -> None:
+        """Run ``step(shard)`` on every shard, then re-index the delta tiers.
+
+        ``step`` must be a no-op on a shard it already ran on
+        (:meth:`Shard.refresh` without pending writes, :meth:`Shard.compact`
+        without a delta tier), so a failed fan-out can finish serially.
         """
         use_parallel = self._parallel_refresh if parallel is None else bool(parallel)
-        pending = [shard for shard in self._shards if shard.pending_ops]
-        if use_parallel and len(pending) > 1:
+        try:
+            if use_parallel and len(shards) > 1:
+                self._fan_out(shards, step)
+            else:
+                for shard in shards:
+                    step(shard)
+        finally:
+            self._delta_index = _DeltaIndex.of(self._shards)
 
-            def guarded(shard: Shard) -> Optional[Exception]:
-                try:
-                    shard.refresh()
-                    return None
-                except Exception as exc:  # surfaced below, once every shard settled
-                    return exc
+    def _fan_out(self, shards: list[Shard], step) -> None:
+        """``step`` over the executor; raise only once every shard has settled."""
 
+        def guarded(shard: Shard) -> Optional[Exception]:
             try:
-                # list(): force a lazy executor map to complete before
-                # versions() reads the refreshed state.
-                results = list(self._executor.map(guarded, pending))
-            except Exception:
-                # The executor itself failed mid-fan-out (not a shard task).
-                # Finish the sweep serially so no shard is left behind with
-                # buffered writes, then surface the executor error: callers
-                # see an exception, never a half-refreshed engine.
-                for shard in pending:
-                    if shard.pending_ops:
-                        shard.refresh()
-                raise
-            for shard, error in zip(pending, results):
-                if error is not None:
-                    # Every other shard has settled; the failing shard kept
-                    # its delta log (refresh clears it only after a full
-                    # replay), so per-shard versions are consistent and the
-                    # failure is retryable.
-                    raise error
-        else:
-            for shard in pending:
-                shard.refresh()
-        return self.versions()
+                step(shard)
+                return None
+            except Exception as exc:  # surfaced below, once every shard settled
+                return exc
+
+        try:
+            # list(): force a lazy executor map to complete before
+            # versions() reads the refreshed state.
+            results = list(self._executor.map(guarded, shards))
+        except Exception:
+            # The executor itself failed mid-fan-out (not a shard task).
+            # Finish the sweep serially so no shard is left behind with
+            # buffered writes, then surface the executor error: callers
+            # see an exception, never a half-refreshed engine.
+            for shard in shards:
+                step(shard)
+            raise
+        for error in results:
+            if error is not None:
+                # Every other shard has settled; the failing shard kept its
+                # delta log (a refresh clears it only after a full fold), so
+                # per-shard versions are consistent and the failure is
+                # retryable.
+                raise error
 
     def close(self) -> None:
         """Flush and close any write-ahead logs; shut down an owned executor.
@@ -386,9 +509,10 @@ class ShardedEngine:
     def save_snapshot(self, directory=None, fsync: bool = True, retain: int = 2) -> int:
         """Checkpoint the whole engine to ``directory``; return the new epoch.
 
-        Folds every buffered write into fresh per-shard snapshot files,
-        writes the engine state, rotates the write-ahead logs, and commits
-        the epoch with an atomic manifest rename (see
+        Folds every buffered write and compacts every shard (:meth:`compact`)
+        so the per-shard snapshot files hold plain bases, writes the engine
+        state, rotates the write-ahead logs, and commits the epoch with an
+        atomic manifest rename (see
         :mod:`repro.persist.durable`).  ``directory`` defaults to the
         directory the engine is already attached to.  ``retain`` older
         epochs are kept as fallbacks; the rest are garbage-collected.
@@ -423,7 +547,8 @@ class ShardedEngine:
         not a rebuild.  ``verify=True`` checks every array checksum.
         ``fsync`` is the durability policy for the write-ahead logs this
         engine will append to.  Recovered-but-unapplied WAL writes sit in
-        the shards' delta logs and fold in at the first batch boundary.
+        the shards' delta logs and fold into their delta tiers at the first
+        batch boundary, like any other buffered write.
         """
         from ..persist.durable import open_engine
 
@@ -463,7 +588,7 @@ class ShardedEngine:
         results are bit-identical regardless of where the work executes.  An
         executor exposing ``run_shard_op`` (the :class:`ProcessExecutor`)
         receives the live shards and handles view placement itself —
-        republishing any shard whose snapshot version changed since its last
+        republishing any shard whose base version changed since its last
         publication; plain ``map`` executors get in-process views.
         """
         runner = getattr(self._executor, "run_shard_op", None)
@@ -482,7 +607,7 @@ class ShardedEngine:
         """Buffer the insertion of a new interval; return its global id.
 
         The write lands in the owning shard's delta log and becomes visible
-        to the first batch that starts after it (the next snapshot refresh).
+        to the first batch that starts after it (the next refresh).
         Round-robin engines rotate ownership; range engines route by
         midpoint so the shard keyspace stays contiguous.  Thin wrapper over
         :meth:`insert_many`.
@@ -507,7 +632,7 @@ class ShardedEngine:
         vectorised: range engines bucket the batch by midpoint with one
         ``searchsorted``, round-robin engines deal the batch out cyclically,
         and each owning shard receives a single bulk delta-log entry that
-        :meth:`Shard.refresh` later appends to its live columns.
+        :meth:`Shard.refresh` later folds into its delta tier.
 
         Examples
         --------
@@ -563,8 +688,8 @@ class ShardedEngine:
     def delete(self, global_id: int) -> bool:
         """Buffer the deletion of ``global_id``; return True when it was active.
 
-        Like :meth:`insert`, the write is applied at the next snapshot
-        refresh; double deletes and unknown ids return False immediately.
+        Like :meth:`insert`, the write is applied at the next refresh;
+        double deletes and unknown ids return False immediately.
         Thin wrapper over :meth:`delete_many`.
         """
         return bool(self.delete_many([global_id])[0])
@@ -600,11 +725,11 @@ class ShardedEngine:
         accepted: list[int] = []
         for position, raw in enumerate(requested):
             g = integral_value(raw)
-            if g is None or g < 0 or g >= self._owner_count or g in self._deleted:
+            if g is None or g < 0 or g >= self._owner_count or self._dead[g]:
                 continue
             if self._owner[g] < 0:
                 continue  # recovery id gap (torn WAL tail): id never existed here
-            self._deleted.add(g)
+            self._dead[g] = True
             accepted.append(g)
             results[position] = True
         if accepted:
@@ -621,24 +746,41 @@ class ShardedEngine:
     # batch queries (scatter-gather)
     # ------------------------------------------------------------------ #
     def count_many(self, queries) -> np.ndarray:
-        """``|q ∩ X|`` per query: per-shard flat counts, merged by summation."""
+        """``|q ∩ X|`` per query: per-shard base counts, merged by summation.
+
+        While any shard has a delta tier, one engine-wide correction (delta
+        overlaps minus tombstoned overlaps, see :class:`_DeltaIndex`) is
+        added to the merged base counts.
+        """
         ql, qr = FlatAIT.coerce_queries(queries)
         self.refresh()
         rows = self._scatter("count", {"ql": ql, "qr": qr})
-        return np.sum(rows, axis=0, dtype=_ID) if rows else np.zeros(ql.shape[0], dtype=_ID)
+        counts = np.sum(rows, axis=0, dtype=_ID) if rows else np.zeros(ql.shape[0], dtype=_ID)
+        if self._delta_index is not None:
+            counts += self._delta_index.net_counts(ql, qr)
+        return counts
 
     def total_weight_many(self, queries) -> np.ndarray:
         """Total weight of ``q ∩ X`` per query (counts for unweighted engines)."""
         ql, qr = FlatAIT.coerce_queries(queries)
         self.refresh()
         rows = self._scatter("total_weight", {"ql": ql, "qr": qr})
-        return np.sum(rows, axis=0, dtype=_F8) if rows else np.zeros(ql.shape[0], dtype=_F8)
+        totals = np.sum(rows, axis=0, dtype=_F8) if rows else np.zeros(ql.shape[0], dtype=_F8)
+        if self._delta_index is not None:  # unweighted: a weight is a count
+            totals += self._delta_index.net_counts(ql, qr)
+        return totals
+
+    def _with_deltas(self, payload: dict) -> dict:
+        """Attach every shard's delta tier to an op payload while any is non-empty."""
+        if self._delta_index is not None:
+            payload["deltas"] = [shard.delta for shard in self._shards]
+        return payload
 
     def report_many(self, queries) -> list[np.ndarray]:
-        """Overlapping global ids per query, shard-major (per-shard traversal order)."""
+        """Overlapping global ids per query, shard-major (base overlaps, then delta inserts)."""
         ql, qr = FlatAIT.coerce_queries(queries)
         self.refresh()
-        per_shard = self._scatter("report", {"ql": ql, "qr": qr})
+        per_shard = self._scatter("report", self._with_deltas({"ql": ql, "qr": qr}))
         nq = int(ql.shape[0])
         if nq == 0:
             return []
@@ -656,10 +798,11 @@ class ShardedEngine:
         """Draw ``sample_size`` i.i.d. samples per query across all shards.
 
         Stage 1 allocates each query's draws over the shards with one
-        batched multinomial over per-shard overlap counts (weights for
+        batched multinomial over per-shard live overlap counts (weights for
         weighted engines); stage 2 has every shard make one vectorised,
         exact draw for each query's allocation (one record collection per
-        shard, see :func:`repro.service.shm._op_sample`); stage 3 merges and
+        shard, tombstoned base draws redrawn, delta inserts drawn beside the
+        base — see :func:`repro.service.shm._op_sample`); stage 3 merges and
         shuffles each query's row so the output carries no shard- or
         record-grouping information.  The composite per-draw law is exactly
         ``1/|q ∩ X|`` (``w(x)/W`` when weighted) — see ``docs/ARCHITECTURE.md``.
@@ -673,6 +816,7 @@ class ShardedEngine:
         nq = int(ql.shape[0])
         num_shards = len(self._shards)
 
+        index = self._delta_index
         if self._weighted:
             masses = self._scatter("total_weight", {"ql": ql, "qr": qr})
         else:
@@ -680,6 +824,10 @@ class ShardedEngine:
                 row.astype(_F8) for row in self._scatter("count", {"ql": ql, "qr": qr})
             ]
         mass = np.stack(masses) if nq else np.zeros((num_shards, 0), dtype=_F8)
+        if index is not None:
+            # Live mass per shard: base overlaps - tombstoned + delta inserts.
+            fresh, dead = index.per_shard(ql, qr)
+            mass += (fresh - dead).T
         totals = mass.sum(axis=0)
         answerable = totals > 0
         if on_empty == "raise" and not answerable.all():
@@ -704,10 +852,10 @@ class ShardedEngine:
         # collection per shard, one exact draw per seed block, global-id
         # mapping).
         seeds = spawn_seeds(rng, num_shards)
-        per_shard = self._scatter(
-            "sample",
-            {"ql": ql[live], "qr": qr[live], "alloc": alloc, "seeds": seeds},
-        )
+        payload = {"ql": ql[live], "qr": qr[live], "alloc": alloc, "seeds": seeds}
+        if index is not None:
+            payload.update(fresh=fresh[live], dead=dead[live])
+        per_shard = self._scatter("sample", self._with_deltas(payload))
 
         # Stage 3: scatter every shard's query-grouped ids into one
         # (n_live, s) matrix — query q's draws from shard k fill the columns

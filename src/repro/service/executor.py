@@ -175,10 +175,10 @@ class ProcessExecutor:
       than one worker and the batch has at least
       :data:`AUTO_QUERY_THRESHOLD` queries, data otherwise.
 
-    For the engine's *structural* work — shard construction, delta-log
-    refreshes — :meth:`map` degrades to a serial in-process loop on purpose:
-    writes mutate the owner's trees and must stay on the owner process (the
-    snapshot refresh then republishes, see :meth:`run_shard_op`).
+    For the engine's *structural* work — shard construction, delta folds and
+    compactions — :meth:`map` degrades to a serial in-process loop on
+    purpose: writes mutate the owner's shards and must stay on the owner
+    process (a compaction then republishes, see :meth:`run_shard_op`).
 
     A ``ProcessExecutor`` is engine-affine: share one instance across engines
     only sequentially, never concurrently.  Crashed workers are respawned
@@ -222,7 +222,7 @@ class ProcessExecutor:
         self._scatter = scatter
         self._block_size = None if block_size is None else int(block_size)
         self._workers: list[_Worker] = []
-        #: key -> (published shard version, parent-held ShardSegment).
+        #: key -> (published shard base version, parent-held ShardSegment).
         self._published: dict[str, tuple[int, object]] = {}
         self._closed = False
 
@@ -298,13 +298,15 @@ class ProcessExecutor:
     def run_shard_op(self, shards, op: str, payload: dict) -> list:
         """Run one named per-shard op over every shard, in shard order.
 
-        Publishes (or republishes) to *every* worker any shard whose snapshot
+        Publishes (or republishes) to *every* worker any shard whose base
         version differs from the last published one — the refresh/publish
-        protocol: writes fold into snapshots on the owner process at batch
-        boundaries, and the version bump is what triggers re-exporting the
-        shared segment here.  Superseded segments are unlinked once their
-        replacements are attached.  The batch is then dispatched under the
-        configured ``scatter`` strategy (``auto`` resolves per batch).
+        protocol: writes fold into the small delta tiers on the owner process
+        at batch boundaries and reach the workers inside the op payload; only
+        a compaction bumps the base version, and that is what triggers
+        re-exporting the shared segment here.  Superseded segments are
+        unlinked once their replacements are attached.  The batch is then
+        dispatched under the configured ``scatter`` strategy (``auto``
+        resolves per batch).
         """
         if self._closed:
             raise RuntimeError("ProcessExecutor is shut down")
@@ -315,7 +317,7 @@ class ProcessExecutor:
         keys = [f"shard-{id(shard):x}" for shard in shards]
         for shard, key in zip(shards, keys):
             entry = self._published.get(key)
-            if entry is not None and entry[0] == shard.version:
+            if entry is not None and entry[0] == shard.base_version:
                 continue
             segment = publish_shard(shard)
             for worker in self._workers:
@@ -323,7 +325,7 @@ class ProcessExecutor:
                 worker.manifests[key] = segment.manifest
             if entry is not None:
                 entry[1].unlink()
-            self._published[key] = (shard.version, segment)
+            self._published[key] = (shard.base_version, segment)
 
         nq = len(payload["ql"])
         mode = self._scatter

@@ -7,12 +7,14 @@ from another process without pickling an engine.  This module provides both
 sides of that bridge:
 
 * :class:`ShardView` — the minimal read surface an op needs: shard id, the
-  :class:`~repro.core.flat.FlatAIT` snapshot, and the local→global id map.
+  base :class:`~repro.core.flat.FlatAIT` snapshot, and the local→global id
+  map.  A shard's delta tier (:class:`~repro.service.shard.ShardDelta`) is
+  not part of the view: it rides in the op payload's ``deltas`` list.
   Every executor runs the *same* module-level op functions over views, so
   results are bit-identical by construction; only where the view's arrays
   live differs.
 * :func:`publish_shard` / :func:`attach_segment` — one
-  ``multiprocessing.shared_memory`` segment per (shard, version): the
+  ``multiprocessing.shared_memory`` segment per (shard, base version): the
   snapshot's arrays (:meth:`FlatAIT.to_buffers`, derived rank keys included
   so workers never recompute) plus the global id map, copied once behind a
   JSON-able manifest of (name, dtype, shape, offset) entries.  Workers
@@ -20,12 +22,14 @@ sides of that bridge:
 * :func:`worker_main` — the long-lived worker loop: attach segments on
   ``publish`` messages (replacing any prior version of the same shard), run
   op batches on ``op`` messages, exit on ``stop``.  Workers never mutate
-  anything: writes and snapshot refreshes stay on the owner process, and a
-  version bump simply republishes the shard's segment.
+  anything: writes, delta folds and compactions stay on the owner process,
+  and only a compaction (a base version bump) republishes a shard's segment.
 
 The op payloads are compact per-batch task descriptors — query endpoint
 arrays, per-shard draw allocations, per-shard RNG *seeds* (plain ints, see
-:func:`repro.sampling.rng.spawn_seeds`) — never engines or closures.
+:func:`repro.sampling.rng.spawn_seeds`) and, while any shard has writes
+since its last compaction, every shard's few-KB delta tier — never engines
+or closures.
 
 Query-parallel tiles.  An ``op`` message addresses work as *specs*: either a
 bare segment key (the whole query batch — the data-parallel scatter) or a
@@ -51,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.flat import FlatAIT
+from ..core.flat import FlatAIT, _ranges_to_indices
 
 __all__ = [
     "ShardView",
@@ -76,6 +80,9 @@ _F8 = np.float64
 #: for bit.  Changing this value changes which i.i.d. sample a given seed
 #: yields (still exactly i.i.d. — just a different, equally valid draw).
 SEED_BLOCK = 16
+
+#: Payload entries holding one row per query (sliced by :func:`slice_payload`).
+_ROW_KEYS = frozenset(("ql", "qr", "alloc", "fresh", "dead"))
 
 #: Segment alignment for array starts — one cache line, and a multiple of
 #: every dtype itemsize in the schema.
@@ -132,10 +139,40 @@ def _op_total_weight(view: ShardView, payload: dict) -> np.ndarray:
     return view.snapshot._total_weight_many(payload["ql"], payload["qr"])
 
 
+def _delta_of(view: ShardView, payload: dict):
+    """The shard's :class:`~repro.service.shard.ShardDelta`, or None when empty.
+
+    The engine ships every shard's delta tier in the payload's ``deltas``
+    list only while some delta is non-empty; the base lives in the view.
+    """
+    deltas = payload.get("deltas")
+    return None if deltas is None else deltas[view.shard_id]
+
+
+def _tombstones(view: ShardView, delta) -> np.ndarray:
+    """Dead flag per base local id (one gather per lookup beats a search)."""
+    dead = np.zeros(view.global_map.shape[0], dtype=bool)
+    dead[delta.tombs] = True
+    return dead
+
+
+def _delta_overlaps(delta, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
+    """``(queries, delta inserts)`` overlap mask — the delta tier is small."""
+    return (delta.lefts[None, :] <= qr[:, None]) & (ql[:, None] <= delta.rights[None, :])
+
+
 def _op_report(view: ShardView, payload: dict) -> list[np.ndarray]:
+    ql, qr = payload["ql"], payload["qr"]
+    chunks = view.snapshot._report_many(ql, qr)
+    delta = _delta_of(view, payload)
+    if delta is None:
+        return [view.to_global(chunk) for chunk in chunks]
+    # Base overlaps minus tombstones, then the delta overlaps.
+    dead = _tombstones(view, delta)
+    overlaps = _delta_overlaps(delta, ql, qr)
     return [
-        view.to_global(chunk)
-        for chunk in view.snapshot._report_many(payload["ql"], payload["qr"])
+        np.concatenate((view.to_global(chunk[~dead[chunk]]), delta.gids[row]))
+        for chunk, row in zip(chunks, overlaps)
     ]
 
 
@@ -168,6 +205,8 @@ def _op_sample(view: ShardView, payload: dict) -> np.ndarray:
     nothing is over-drawn or discarded.  Returns one flat array of global
     ids, grouped by selected query in batch order and, within a query, by
     record; the engine's final per-row shuffle makes positions exchangeable.
+    A shard with a non-empty delta tier draws through
+    :func:`_sample_with_delta` instead.
     """
     counts = payload["alloc"][:, view.shard_id]
     selected = np.flatnonzero(counts > 0)
@@ -178,12 +217,115 @@ def _op_sample(view: ShardView, payload: dict) -> np.ndarray:
     seed = payload["seeds"][view.shard_id]
     blocks = (int(payload.get("offset", 0)) + selected) // SEED_BLOCK
     cuts = np.flatnonzero(np.diff(blocks)) + 1
-    groups = [
-        (members, counts[selected[members]], _block_rng(seed, blocks[members[0]]))
+    blocked = [
+        (members, _block_rng(seed, blocks[members[0]]))
         for members in np.split(np.arange(selected.shape[0]), cuts)
     ]
-    positions = snapshot._draw_positions(records, records.layout(selected.shape[0]), groups)
+    layout = records.layout(selected.shape[0])
+    delta = _delta_of(view, payload)
+    if delta is not None:
+        return _sample_with_delta(view, payload, delta, selected, records, layout, blocked)
+    groups = [(members, counts[selected[members]], rng) for members, rng in blocked]
+    positions = snapshot._draw_positions(records, layout, groups)
     return view.to_global(snapshot._all_ids[positions])
+
+
+def _sample_with_delta(view, payload, delta, selected, records, layout, blocked) -> np.ndarray:
+    """:func:`_op_sample` for a shard with a non-empty delta tier.
+
+    The payload's ``fresh`` / ``dead`` matrices hold, per (query, shard),
+    the number of delta inserts and of tombstoned base intervals that
+    overlap the query; the records give its ``B`` base overlaps.  Every draw
+    takes one uniform from its seed block's generator and picks one of the
+    query's ``B + fresh`` candidate slots: the base overlaps (read off the
+    records by inverse CDF over their sizes) followed by the delta overlaps.
+    A draw that lands on a tombstone is rejected and redrawn, so each
+    accepted draw is uniform over the live base overlaps plus the delta
+    overlaps — the live overlaps of the shard — and base and delta share
+    the allocation in proportion to their live sizes.  A query whose base
+    overlaps are more than half dead instead picks from its reported,
+    tombstone-filtered base overlaps, which keeps every query's acceptance
+    rate above one half.
+
+    Returns the same query-grouped global-id layout as the base-only path.
+    """
+    snapshot = view.snapshot
+    k = view.shard_id
+    ql, qr = payload["ql"][selected], payload["qr"][selected]
+    alloc = payload["alloc"][selected, k]
+    fresh = payload["fresh"][selected, k]
+    dead = payload["dead"][selected, k]
+    rec_start, rec_count, total = layout
+    base = total.astype(_ID)  # unweighted records: total weight = overlap count
+    tombstoned = _tombstones(view, delta)
+    glo, sizes = records.glo, records.counts
+    record_end = np.cumsum(sizes)
+    base_start = np.cumsum(base) - base  # the query's first slot in record order
+
+    # Report-and-filter the queries whose base overlaps are mostly dead.
+    mostly_dead = 2 * dead > base
+    pool = np.where(mostly_dead, base - dead, base)
+    survivors = np.empty(0, dtype=_ID)
+    survivor_start = np.zeros(selected.shape[0], dtype=_ID)
+    filtered = np.flatnonzero(mostly_dead)
+    if filtered.shape[0]:
+        parts = []
+        for q in filtered:
+            first, stop = int(rec_start[q]), int(rec_start[q] + rec_count[q])
+            local = snapshot._all_ids[
+                _ranges_to_indices(glo[first:stop], sizes[first:stop])
+            ]
+            parts.append(local[~tombstoned[local]])
+        survivors = np.concatenate(parts)
+        survivor_start[filtered] = np.cumsum(pool[filtered]) - pool[filtered]
+
+    # The delta overlaps of every query, as runs of delta-insert indexes.
+    with_fresh = np.flatnonzero(fresh > 0)
+    rows, delta_cols = np.nonzero(_delta_overlaps(delta, ql[with_fresh], qr[with_fresh]))
+    delta_start = np.zeros(selected.shape[0], dtype=_ID)
+    per_row = np.bincount(rows, minlength=with_fresh.shape[0])
+    delta_start[with_fresh] = np.cumsum(per_row) - per_row
+
+    owners: list[np.ndarray] = []
+    gids: list[np.ndarray] = []
+    todo = alloc
+    while todo.any():
+        # A block with nothing left to draw leaves its generator untouched,
+        # so each block's stream depends on that block's queries only.
+        wanted = [(int(todo[members].sum()), rng) for members, rng in blocked]
+        uniforms = np.concatenate([rng.random(n) for n, rng in wanted if n])
+        slot = np.repeat(np.arange(selected.shape[0]), todo)
+        width = pool[slot] + fresh[slot]
+        pick = (uniforms * width).astype(_ID)
+        np.minimum(pick, width - 1, out=pick)
+        out = np.empty(slot.shape[0], dtype=_ID)
+        in_base = pick < pool[slot]
+
+        from_delta = ~in_base
+        run = delta_start[slot[from_delta]] + pick[from_delta] - pool[slot[from_delta]]
+        out[from_delta] = delta.gids[delta_cols[run]]
+
+        from_filtered = in_base & mostly_dead[slot]
+        local = survivors[survivor_start[slot[from_filtered]] + pick[from_filtered]]
+        out[from_filtered] = view.to_global(local)
+
+        from_records = in_base & ~from_filtered
+        target = base_start[slot[from_records]] + pick[from_records]
+        record = np.searchsorted(record_end, target, side="right")
+        local = snapshot._all_ids[glo[record] + target - (record_end[record] - sizes[record])]
+        hit = tombstoned[local]
+        out[from_records] = view.to_global(local)
+
+        keep = np.ones(slot.shape[0], dtype=bool)
+        keep[np.flatnonzero(from_records)[hit]] = False
+        owners.append(slot[keep])
+        gids.append(out[keep])
+        todo = np.bincount(slot[~keep], minlength=selected.shape[0])
+
+    if len(gids) == 1:  # nothing rejected: the draws are already grouped by query
+        return gids[0]
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    return np.concatenate(gids)[order]
 
 
 #: Op name -> implementation.  Names, not functions, cross the process
@@ -208,16 +350,18 @@ def run_shard_op(op: str, view: ShardView, payload: dict):
 def slice_payload(op: str, payload: dict, start: int, stop: int) -> dict:
     """Cut the payload for queries ``[start, stop)`` out of a batch payload.
 
-    ``ql``/``qr`` are sliced for every op; ``sample`` additionally slices the
-    allocation rows, keeps the per-shard seed list whole (the seed schedule
-    is shard-wide), and advances ``offset`` so :func:`_op_sample` still sees
-    batch-global positions for its seed-block ids.  Slices are views, not
-    copies — a tile ships no more bytes than its own queries.
+    Per-query arrays (``ql``/``qr``, and for ``sample`` the ``alloc``,
+    ``fresh`` and ``dead`` rows) are sliced; the per-shard seed list and
+    delta tiers stay whole (they are shard-wide), and ``sample`` advances
+    ``offset`` so :func:`_op_sample` still sees batch-global positions for
+    its seed-block ids.  Slices are views, not copies — a tile ships no
+    more per-query bytes than its own queries.
     """
-    sliced = {"ql": payload["ql"][start:stop], "qr": payload["qr"][start:stop]}
+    sliced = {
+        key: value[start:stop] if key in _ROW_KEYS else value
+        for key, value in payload.items()
+    }
     if op == "sample":
-        sliced["alloc"] = payload["alloc"][start:stop]
-        sliced["seeds"] = payload["seeds"]
         sliced["offset"] = int(payload.get("offset", 0)) + int(start)
     return sliced
 
@@ -247,7 +391,7 @@ def _aligned(offset: int) -> int:
 
 
 class ShardSegment:
-    """Parent-side handle for one published (shard, version) segment.
+    """Parent-side handle for one published (shard, base version) segment.
 
     Owns the :class:`SharedMemory` block — the parent must keep the handle
     alive while any worker might (re)attach by name, and calls
@@ -280,8 +424,9 @@ def publish_shard(shard) -> ShardSegment:
     The segment packs every array of :meth:`FlatAIT.to_buffers` (core arrays
     *and* the derived rank-key pools — attaching must not recompute them)
     plus the shard's ``global_map``, each aligned to ``_ALIGN`` bytes, behind
-    a picklable manifest.  One segment per (shard, version): the caller
-    republishes on version bumps and unlinks the superseded segment.
+    a picklable manifest.  One segment per (shard, base version): the caller
+    republishes when a compaction bumps the base version and unlinks the
+    superseded segment.
     """
     arrays = dict(shard.snapshot.to_buffers())
     arrays["global_map"] = shard.global_map
@@ -315,7 +460,7 @@ def publish_shard(shard) -> ShardSegment:
     manifest = {
         "shm": shm.name,
         "shard_id": int(shard.shard_id),
-        "version": int(shard.version),
+        "version": int(shard.base_version),
         "weighted": bool(shard.snapshot.is_weighted),
         "kernel": shard.snapshot.kernel_backend,
         "arrays": entries,

@@ -2,9 +2,15 @@
 
 A Hypothesis state machine drives one engine through random sequences of
 bulk inserts, deletes (unknown, duplicate, already-deleted and non-integral
-ids included), refreshes, checkpoints and close-plus-reopen cycles, next to
-a plain dict of live intervals.  After every step the engine must agree
-with the model: ``size``, exact counts and sample support.
+ids included), tombstone-heavy delete bursts, refreshes, compactions,
+checkpoints and close-plus-reopen cycles, next to a plain dict of live
+intervals.  After every step the engine must agree with the model:
+``size``, exact counts and sample support.
+
+Each run also picks the shard compaction threshold: the shipped fraction
+(shards this small compact on almost every write), 1.0, or never — so the
+delta tier grows, tombstones pile up, and queries whose base overlaps are
+mostly dead take the report-and-filter sampling path.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro import IntervalDataset, ShardedEngine
+from repro.service import shard as shard_module
 
 MAX_INTERVALS = 300
 SAMPLE_SIZE = 5
@@ -49,13 +56,16 @@ class EngineModel(RuleBasedStateMachine):
         self.live: dict[int, tuple[float, float]] = {}
         self.next_id = 0
         self.saved = False
+        self.shipped_fraction = shard_module.COMPACT_FRACTION
 
     @initialize(
         initial=st.lists(intervals, min_size=4, max_size=60),
         num_shards=st.integers(1, 4),
         policy=st.sampled_from(["round_robin", "range"]),
+        compact_fraction=st.sampled_from([shard_module.COMPACT_FRACTION, 1.0, float("inf")]),
     )
-    def build(self, initial, num_shards, policy):
+    def build(self, initial, num_shards, policy, compact_fraction):
+        shard_module.COMPACT_FRACTION = compact_fraction
         lefts, rights = (np.asarray(column) for column in zip(*initial))
         self.engine = ShardedEngine(
             IntervalDataset(lefts, rights), num_shards=num_shards, policy=policy
@@ -112,10 +122,24 @@ class EngineModel(RuleBasedStateMachine):
                 # Also target the ids this burst just inserted (still pending).
                 self._delete(payload + list(range(self.next_id - 2, self.next_id)))
 
+    @rule(share=st.floats(0.55, 1.0), seed=st.integers(0, 2**16))
+    def tombstone_burst(self, share, seed):
+        """Delete most of the live set in one batch (base rows become tombstones)."""
+        live = sorted(self.live)
+        rng = np.random.default_rng(seed)
+        doomed = rng.choice(len(live), size=int(share * len(live)), replace=False)
+        self._delete([live[i] for i in doomed])
+
     @rule()
     def refresh(self):
         self.engine.refresh()
         assert self.engine.pending_ops() == 0
+
+    @rule()
+    def compact(self):
+        self.engine.compact()
+        assert self.engine.pending_ops() == 0
+        assert all(shard.delta is None for shard in self.engine.shards)
 
     @rule()
     def save_snapshot(self):
@@ -153,6 +177,7 @@ class EngineModel(RuleBasedStateMachine):
             assert set(row.tolist()) <= set(ids[hits].tolist())
 
     def teardown(self):
+        shard_module.COMPACT_FRACTION = self.shipped_fraction
         if self.engine is not None:
             self.engine.close()
         shutil.rmtree(self.directory, ignore_errors=True)

@@ -5,11 +5,13 @@ process is *observationally invisible*: for the same dataset, the same
 queries and the same seed, ``SerialExecutor``, ``ThreadedExecutor`` and
 ``ProcessExecutor`` produce bit-identical ``count_many`` /
 ``total_weight_many`` / ``report_many`` rows and identical ``sample_many``
-draws — including after ``insert_many`` / ``delete_many`` and the snapshot
-refresh that republishes shared segments.  Every executor runs the same
+draws — including after ``insert_many`` / ``delete_many``, with writes
+served from the shards' delta tiers, and after the compaction that
+republishes shared segments.  Every executor runs the same
 module-level op implementations (:data:`repro.service.shm.SHARD_OPS`), so
 equality here is an end-to-end check of the shared-memory pack/attach
-round-trip and of the publish-on-version-bump protocol, not a tautology.
+round-trip, of the delta tiers shipped in the op payload, and of the
+publish-on-compaction protocol, not a tautology.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from repro import ShardedEngine
 from repro.service import ProcessExecutor
+from repro.service import shard as shard_module
 
 SHARD_COUNTS = (1, 2, 4, 8)
 EXECUTORS = ("serial", "threads", "process")
@@ -153,6 +156,65 @@ def test_executors_bit_identical_after_updates(dataset, queries, num_shards):
             expected = _read_all(engines["serial"], queries, seed=round_seed)
             for name in ("threads", "process"):
                 _assert_identical(_read_all(engines[name], queries, seed=round_seed), expected)
+    finally:
+        for engine in engines.values():
+            _close(engine)
+
+
+def _segments(executor):
+    """Published segment name and base version per shard key of a ProcessExecutor."""
+    return {
+        key: (version, segment.manifest["shm"])
+        for key, (version, segment) in executor._published.items()
+    }
+
+
+def test_executors_bit_identical_with_delta_tier(dataset, queries, monkeypatch):
+    """Reads over base + delta inserts + tombstones agree bit for bit on every tier.
+
+    The delta tiers reach process workers inside the op payload, so a write
+    round republishes no base segment; only a compaction does.  The second
+    round tombstones a quarter of the dataset, so some queries take the
+    report-and-filter sampling path.
+    """
+    monkeypatch.setattr(shard_module, "COMPACT_FRACTION", float("inf"))
+    engines = {name: _make_engine(dataset, 4, name) for name in EXECUTORS}
+    engines["query"] = ShardedEngine(
+        dataset,
+        num_shards=4,
+        executor=ProcessExecutor(max_workers=2, scatter="query", block_size=7),
+    )
+    workers = [engines["process"]._executor, engines["query"]._executor]
+    try:
+        for engine in engines.values():
+            engine.count_many(queries)  # publishes every base
+        published = [_segments(executor) for executor in workers]
+        for round_seed, deletes in ((606, 10), (707, 150)):
+            trial = np.random.default_rng(round_seed)
+            lo, hi = dataset.domain()
+            lefts = trial.uniform(lo, hi, 12)
+            rights = lefts + trial.exponential((hi - lo) / 40.0, 12)
+            live = np.flatnonzero(~engines["serial"]._dead[: len(dataset)])
+            victims = trial.choice(live, size=deletes, replace=False)
+            for engine in engines.values():
+                new_ids = engine.insert_many(lefts, rights)
+                assert engine.delete_many(np.concatenate((victims, new_ids[:2]))).all()
+                engine.refresh()
+            assert all(shard.delta is not None for shard in engines["serial"].shards)
+            expected = _read_all(engines["serial"], queries, seed=round_seed)
+            for name in ("threads", "process", "query"):
+                _assert_identical(_read_all(engines[name], queries, seed=round_seed), expected)
+        assert [_segments(executor) for executor in workers] == published
+
+        for engine in engines.values():
+            engine.compact()
+        expected = _read_all(engines["serial"], queries, seed=808)
+        for name in ("threads", "process", "query"):
+            _assert_identical(_read_all(engines[name], queries, seed=808), expected)
+        for executor, before in zip(workers, published):
+            after = _segments(executor)
+            assert after.keys() == before.keys()
+            assert all(after[key] != before[key] for key in before)
     finally:
         for engine in engines.values():
             _close(engine)

@@ -20,6 +20,8 @@ from repro.core.errors import (
     StructureStateError,
 )
 from repro.service import SerialExecutor, ThreadedExecutor, resolve_executor
+from repro.service import shard as shard_module
+from repro.service.shard import Shard
 from repro.stats import chi_square_uniformity, chi_square_weighted
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -303,6 +305,200 @@ class TestShardDrawSchedule:
 
 
 # ---------------------------------------------------------------------- #
+# delta tier: immutable base + delta inserts + tombstones, compaction
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def layered(monkeypatch):
+    """Keep every write in the delta tier until an explicit compaction."""
+    monkeypatch.setattr(shard_module, "COMPACT_FRACTION", float("inf"))
+
+
+def _layer_writes(engine, dataset, query, dead_share, inserted, seed):
+    """Tombstone ``dead_share`` of the query's base overlaps, add ``inserted`` overlaps.
+
+    Also inserts and deletes some intervals elsewhere, deletes a third of
+    the new overlaps again, and folds everything in.  Returns the live
+    ``(lefts, rights, live)`` columns indexed by global id.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = dataset.domain()
+    inside = dataset.overlap_indices(*query)
+    doomed = rng.choice(inside, size=int(dead_share * inside.shape[0]), replace=False)
+    elsewhere = rng.choice(np.setdiff1d(np.arange(len(dataset)), inside), size=20, replace=False)
+    new_lefts = np.concatenate(
+        (rng.uniform(query[0], query[1], inserted), rng.uniform(lo, hi, 10))
+    )
+    new_rights = new_lefts + rng.exponential((hi - lo) / 200.0, new_lefts.shape[0])
+    new_ids = engine.insert_many(new_lefts, new_rights)
+    assert engine.delete_many(np.concatenate((doomed, elsewhere, new_ids[::3]))).all()
+    engine.refresh()
+    lefts = np.concatenate((dataset.lefts, new_lefts))
+    rights = np.concatenate((dataset.rights, new_rights))
+    live = np.ones(lefts.shape[0], dtype=bool)
+    live[np.concatenate((doomed, elsewhere, new_ids[::3]))] = False
+    return lefts, rights, live
+
+
+class TestDeltaTier:
+    @staticmethod
+    def _query(dataset):
+        lo, hi = dataset.domain()
+        return (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.46)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("num_shards", (1, 4))
+    def test_count_and_report_match_oracle(
+        self, dataset, queries, layered, num_shards, policy
+    ):
+        engine = ShardedEngine(dataset, num_shards=num_shards, policy=policy)
+        lefts, rights, live = _layer_writes(engine, dataset, self._query(dataset), 0.6, 15, 1)
+        assert all(shard.delta is not None for shard in engine.shards)
+        assert engine.size == sum(engine.shard_sizes()) == int(live.sum())
+        batch = np.asarray(queries, dtype=np.float64)
+        overlap = (lefts[None, :] <= batch[:, 1:]) & (batch[:, :1] <= rights[None, :]) & live
+        assert engine.count_many(queries).tolist() == overlap.sum(axis=1).tolist()
+        assert engine.total_weight_many(queries).tolist() == overlap.sum(axis=1).tolist()
+        for row, hits in zip(engine.report_many(queries), overlap):
+            assert sorted(row.tolist()) == np.flatnonzero(hits).tolist()
+
+    @pytest.mark.parametrize("num_shards", (1, 4))
+    @pytest.mark.parametrize("dead_share", (0.3, 0.7))
+    def test_sample_is_uniform_over_live_overlaps(
+        self, dataset, layered, num_shards, dead_share
+    ):
+        """Both the rejection path (0.3) and report-and-filter (0.7) follow the exact law."""
+        engine = ShardedEngine(dataset, num_shards=num_shards)
+        query = self._query(dataset)
+        lefts, rights, live = _layer_writes(engine, dataset, query, dead_share, 15, 2)
+        population = np.flatnonzero(
+            (lefts <= query[1]) & (query[0] <= rights) & live
+        ).tolist()
+        assert 20 <= len(population) <= 120
+        rows = np.stack(engine.sample_many([query] * 2_500, 12, random_state=2025))
+        for position in (0, -1):
+            fit = chi_square_uniformity(rows[:, position].tolist(), population)
+            assert not fit.rejects_uniformity(alpha=1e-4), (position, fit)
+
+    @pytest.mark.parametrize("dead_share, filtered", ((0.3, False), (0.7, True)))
+    def test_mostly_dead_queries_report_and_filter(
+        self, dataset, layered, monkeypatch, dead_share, filtered
+    ):
+        import repro.service.shm as shm
+
+        expansions = []
+        original = shm._ranges_to_indices
+
+        def spy(starts, lengths):
+            expansions.append(int(lengths.sum()))
+            return original(starts, lengths)
+
+        monkeypatch.setattr(shm, "_ranges_to_indices", spy)
+        engine = ShardedEngine(dataset, num_shards=1)
+        query = self._query(dataset)
+        lefts, rights, live = _layer_writes(engine, dataset, query, dead_share, 0, 3)
+        row = engine.sample(query, 200, random_state=4)
+        assert live[row].all()
+        assert np.all(lefts[row] <= query[1]) and np.all(query[0] <= rights[row])
+        assert bool(expansions) == filtered
+
+    def test_refresh_folds_and_compacts_past_the_threshold(self):
+        lefts = np.arange(64, dtype=np.float64)
+        shard = Shard(0, lefts, lefts + 1.0, None, np.arange(64, dtype=np.int64))
+        base = shard.snapshot
+        # 64 / 32 = 2 delta entries fit; the third compacts.
+        shard.buffer_insert_many(np.array([100, 101]), np.array([5.0, 6.0]), np.array([7.0, 8.0]))
+        assert shard.refresh() is False
+        assert shard.snapshot is base and shard.base_version == 1 and shard.version == 2
+        assert shard.delta.gids.tolist() == [100, 101] and shard.size == 66
+        shard.buffer_delete_many(np.array([3]))
+        assert shard.refresh() is True
+        assert shard.delta is None and shard.base_version == 2 and shard.version == 3
+        assert shard.global_map.tolist() == [g for g in range(64) if g != 3] + [100, 101]
+        assert shard.refresh() is False  # nothing pending
+
+    def test_deleting_a_delta_insert_drops_it(self, layered):
+        lefts = np.arange(64, dtype=np.float64)
+        shard = Shard(0, lefts, lefts + 1.0, None, np.arange(64, dtype=np.int64))
+        shard.buffer_insert_many(
+            np.array([100, 101, 102]), np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        )
+        shard.refresh()
+        shard.buffer_delete_many(np.array([101, 7]))
+        shard.buffer_insert_many(np.array([103]), np.array([9.0]), np.array([9.5]))
+        shard.buffer_delete_many(np.array([103]))
+        assert shard.refresh() is False
+        assert shard.delta.gids.tolist() == [100, 102]
+        assert shard.delta.tombs.tolist() == [7] and shard.size == 65
+
+    def test_compact_rebuilds_snapshot_from_live_columns(self, make_random_dataset):
+        """A compaction folds the delta tier into fresh live columns and rebuilds."""
+        dataset = make_random_dataset(n=4000, seed=52)
+        engine = ShardedEngine(dataset, num_shards=2)
+        rng = np.random.default_rng(53)
+        lefts = rng.uniform(0.0, 1000.0, 40)
+        rights = lefts + rng.exponential(20.0, 40)
+        new_ids = engine.insert_many(lefts, rights)
+        doomed = np.concatenate((rng.choice(4000, size=30, replace=False), new_ids[:5]))
+        assert engine.delete_many(doomed).all()
+        assert engine.pending_ops() > 0
+        engine.compact()
+        assert engine.pending_ops() == 0
+        assert all(shard.delta is None for shard in engine.shards)
+        all_lefts = np.concatenate((dataset.lefts, lefts))
+        all_rights = np.concatenate((dataset.rights, rights))
+        live = np.setdiff1d(np.arange(4040), doomed)
+        assert np.array_equal(np.sort(np.concatenate([s.global_map for s in engine.shards])), live)
+        for shard in engine.shards:
+            shard_lefts, shard_rights, shard_weights = shard.columns
+            assert shard_weights is None and shard.size == shard.global_map.shape[0]
+            assert np.array_equal(shard_lefts, all_lefts[shard.global_map])
+            assert np.array_equal(shard_rights, all_rights[shard.global_map])
+            mine = shard.snapshot.to_buffers()
+            fresh = FlatAIT.from_arrays(shard_lefts, shard_rights).to_buffers()
+            assert mine.keys() == fresh.keys()
+            assert all(np.array_equal(mine[name], fresh[name]) for name in mine)
+
+    #: sha256 prefixes of ``sample_many`` rows, recorded from the engine as it
+    #: was before the delta tier, when every refresh rebuilt each touched
+    #: shard from its live columns.  An engine with no writes since its last
+    #: compaction must still draw exactly that stream.
+    STREAM_DIGESTS = {
+        (1, "round_robin"): ("a173af6eebf4c744", "f597c56c6391f343"),
+        (4, "round_robin"): ("ceff622cff12d767", "ca660493dd6af7b2"),
+        (4, "range"): ("7cbfbd0c2c6d549d", "cbb335a0ee3ae2f3"),
+    }
+
+    def test_compacted_engine_keeps_the_sample_stream(self):
+        import hashlib
+
+        from repro.datasets import generate_paper_dataset, generate_queries
+
+        def digest(rows):
+            h = hashlib.sha256()
+            for row in rows:
+                h.update(np.asarray(row, dtype=np.int64).tobytes())
+                h.update(b"|")
+            return h.hexdigest()[:16]
+
+        data = generate_paper_dataset("btc", n=20_000, random_state=1)
+        batch = np.asarray(
+            generate_queries(data, count=300, extent_fraction=0.05, random_state=2).queries,
+            dtype=np.float64,
+        )
+        for (num_shards, policy), (fresh, compacted) in self.STREAM_DIGESTS.items():
+            engine = ShardedEngine(data, num_shards=num_shards, policy=policy)
+            assert digest(engine.sample_many(batch, 40, random_state=11)) == fresh
+            rng = np.random.default_rng(5)
+            lo, hi = data.domain()
+            lefts = rng.uniform(lo, hi, 200)
+            rights = lefts + rng.exponential((hi - lo) * 0.01, 200)
+            ids = engine.insert_many(lefts, rights)
+            engine.delete_many(np.concatenate([ids[::3], rng.choice(20_000, 150, replace=False)]))
+            engine.compact()
+            assert digest(engine.sample_many(batch, 40, random_state=12)) == compacted
+
+
+# ---------------------------------------------------------------------- #
 # updates: buffered delta log + versioned snapshot refresh
 # ---------------------------------------------------------------------- #
 class TestUpdates:
@@ -517,33 +713,6 @@ class TestBulkWrites:
             engine.insert_many([0.0], [1.0])
         with pytest.raises(StructureStateError):
             engine.delete_many([0])
-
-    def test_refresh_rebuilds_snapshot_from_live_columns(self, make_random_dataset):
-        """A refresh folds the delta log into the live columns, then rebuilds."""
-        dataset = make_random_dataset(n=4000, seed=52)
-        engine = ShardedEngine(dataset, num_shards=2)
-        rng = np.random.default_rng(53)
-        lefts = rng.uniform(0.0, 1000.0, 40)
-        rights = lefts + rng.exponential(20.0, 40)
-        new_ids = engine.insert_many(lefts, rights)
-        doomed = np.concatenate((rng.choice(4000, size=30, replace=False), new_ids[:5]))
-        assert engine.delete_many(doomed).all()
-        assert engine.pending_ops() > 0
-        engine.refresh()
-        assert engine.pending_ops() == 0
-        all_lefts = np.concatenate((dataset.lefts, lefts))
-        all_rights = np.concatenate((dataset.rights, rights))
-        live = np.setdiff1d(np.arange(4040), doomed)
-        assert np.array_equal(np.sort(np.concatenate([s.global_map for s in engine.shards])), live)
-        for shard in engine.shards:
-            shard_lefts, shard_rights, shard_weights = shard.columns
-            assert shard_weights is None and shard.size == shard.global_map.shape[0]
-            assert np.array_equal(shard_lefts, all_lefts[shard.global_map])
-            assert np.array_equal(shard_rights, all_rights[shard.global_map])
-            mine = shard.snapshot.to_buffers()
-            fresh = FlatAIT.from_arrays(shard_lefts, shard_rights).to_buffers()
-            assert mine.keys() == fresh.keys()
-            assert all(np.array_equal(mine[name], fresh[name]) for name in mine)
 
     def test_mixed_bulk_and_scalar_log_replay(self, make_random_dataset, make_queries):
         """Interleaved scalar and bulk ops replay in log order at refresh."""
